@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -344,7 +344,7 @@ def _ascend(start_id, profile, params, config, mode):
         for r in range(rounds):
             objective = lambda u: _objective_b(u, working.radii, params, quad_tol)
             leg_config = config if r == 0 \
-                else _with_iters(config, max(config.max_iters // 3, 10))
+                else replace(config, max_iters=max(config.max_iters // 3, 10))
             values, value, leg, converged = _lbfgs_ascend(
                 objective, working.values, leg_config)
             trace.extend(leg if not trace else leg[1:])
@@ -375,12 +375,6 @@ def _ascend(start_id, profile, params, config, mode):
                               constraint_residuals=residuals, trace=trace,
                               start_id=start_id, converged=converged,
                               diagnostics=diagnostics)
-
-
-def _with_iters(config: OptimizerConfig, iters: int) -> OptimizerConfig:
-    from dataclasses import replace
-
-    return replace(config, max_iters=iters)
 
 
 def _best_over_starts(params, config, mode, extra_starts=()):

@@ -127,14 +127,50 @@ class NormReport:
     full_pow: float
 
 
-def _segment_arrays(profile: RadialProfile):
-    """Left/right log-radii, endpoint values and slopes of every segment."""
-    t = profile.log_radii
-    u = profile.values
-    tl, tr = t[:-1], t[1:]
-    ul, ur = u[:-1], u[1:]
-    slope = (ur - ul) / (tr - tl)
-    return tl, tr, ul, ur, slope
+def _integrate_live(profile: RadialProfile, integrand, rel_tol: float):
+    """Integrate integrand(t, u, seg) over the segments where u is not zero.
+
+    The integrand gets flat arrays of log-radii t, the profile's values u
+    there and the segment of each point, an index into all segments; it
+    returns (k, n) values.  Returns the indices of the live segments and their
+    integrals, shape (k, live count).  integrate_segments warns if it reaches
+    its panel cap.
+    """
+    tn, un = profile.log_radii, profile.values
+    idx = np.nonzero((un[:-1] > 0.0) | (un[1:] > 0.0))[0]
+    if idx.size == 0:
+        return idx, np.zeros((1, 0))
+    slope = np.diff(un) / np.diff(tn)
+
+    def f(t, live_seg):
+        seg = idx[live_seg]
+        u = np.maximum(un[seg] + slope[seg] * (t - tn[seg]), 0.0)
+        return integrand(t, u, seg)
+
+    vals, _, _ = integrate_segments(f, tn[idx], tn[idx + 1], rel_tol=rel_tol)
+    return idx, vals
+
+
+def _hat_integrals(profile: RadialProfile, params: ProblemParams, base,
+                   rel_tol: float) -> np.ndarray:
+    """Node gradient of omega * int base(t, u) dt over the live segments.
+
+    Each segment's integrals of base times its two interpolation hat weights
+    go to the segment's left and right node.
+    """
+    tn, dt = profile.log_radii, np.diff(profile.log_radii)
+
+    def integrand(t, u, seg):
+        b = base(t, u)
+        w_right = (t - tn[seg]) / dt[seg]
+        return np.stack([b * (1.0 - w_right), b * w_right])
+
+    idx, vals = _integrate_live(profile, integrand, rel_tol)
+    out = np.zeros(profile.num_nodes)
+    # left-node integrals of every segment first, then the right-node ones
+    np.add.at(out, np.concatenate([idx, idx + 1]),
+              params.sphere_area * vals.ravel())
+    return out
 
 
 def grad_norm_pow(profile: RadialProfile, params: ProblemParams) -> float:
@@ -167,19 +203,8 @@ def weighted_lp_pow(profile: RadialProfile, p: float, delta: float,
     c = n - delta
     u0 = profile.values[0]
     total = omega * u0 ** p * profile.radii[0] ** c / c
-    tl, tr, ul, ur, slope = _segment_arrays(profile)
-    live = (ul > 0.0) | (ur > 0.0)
-    if not np.any(live):
-        return total
-    tl, tr, ul, slope = tl[live], tr[live], ul[live], slope[live]
-
-    def integrand(t, seg):
-        u = np.maximum(ul[seg] + slope[seg] * (t - tl[seg]), 0.0)
-        return (u ** p * np.exp(c * t))[None, :]
-
-    vals, _, conv = integrate_segments(integrand, tl, tr, rel_tol=rel_tol)
-    if not np.all(conv):
-        warnings.warn("weighted_lp_pow: quadrature cap reached", RuntimeWarning)
+    _, vals = _integrate_live(
+        profile, lambda t, u, seg: (u ** p * np.exp(c * t))[None, :], rel_tol)
     return total + omega * float(vals.sum())
 
 
@@ -209,24 +234,18 @@ def functional_log(profile: RadialProfile, params: ProblemParams,
     if u0 > 0.0:
         piece_logs.append(math.log(omega / c) + c * profile.log_radii[0]
                           + log_phi(n, alpha * u0 ** q))
-    tl, tr, ul, ur, slope = _segment_arrays(profile)
-    live = (ul > 0.0) | (ur > 0.0)
-    if np.any(live):
-        tl, tr, ul, ur, slope = tl[live], tr[live], ul[live], ur[live], slope[live]
-        shift = np.maximum(alpha * ul ** q + c * tl, alpha * ur ** q + c * tr)
+    node_logs = alpha * profile.values ** q + c * profile.log_radii
+    shift = np.maximum(node_logs[:-1], node_logs[1:])
 
-        def integrand(t, seg):
-            u = np.maximum(ul[seg] + slope[seg] * (t - tl[seg]), 0.0)
-            with np.errstate(divide="ignore"):
-                g = log_phi(n, alpha * u ** q) + c * t - shift[seg]
-            return np.exp(g)[None, :]
-
-        vals, _, conv = integrate_segments(integrand, tl, tr, rel_tol=rel_tol)
-        if not np.all(conv):
-            warnings.warn("functional: quadrature cap reached", RuntimeWarning)
+    def integrand(t, u, seg):
         with np.errstate(divide="ignore"):
-            seg_logs = shift + np.log(vals[0]) + math.log(omega)
-        piece_logs.extend(seg_logs[np.isfinite(seg_logs)])
+            g = log_phi(n, alpha * u ** q) + c * t - shift[seg]
+        return np.exp(g)[None, :]
+
+    idx, vals = _integrate_live(profile, integrand, rel_tol)
+    with np.errstate(divide="ignore"):
+        seg_logs = shift[idx] + np.log(vals[0]) + math.log(omega)
+    piece_logs.extend(seg_logs[np.isfinite(seg_logs)])
     if not piece_logs:
         return LogValue(-math.inf)
     return LogValue(float(np.logaddexp.reduce(np.asarray(piece_logs))))
@@ -250,32 +269,17 @@ def functional_gradient(profile: RadialProfile, params: ProblemParams,
     q = params.exponent
     omega = params.sphere_area
     c = n - beta
-    grad = np.zeros(profile.num_nodes)
+
+    def base(t, u):
+        with np.errstate(over="ignore"):
+            return (phi_derivative(n, alpha * u ** q)
+                    * alpha * q * u ** (q - 1.0) * np.exp(c * t))
+
+    grad = _hat_integrals(profile, params, base, rel_tol)
     u0 = profile.values[0]
     grad[0] += (omega * phi_derivative(n, alpha * u0 ** q)
                 * alpha * q * u0 ** (q - 1.0)
                 * profile.radii[0] ** c / c)
-    tl, tr, ul, ur, slope = _segment_arrays(profile)
-    live = (ul > 0.0) | (ur > 0.0)
-    if np.any(live):
-        idx = np.nonzero(live)[0]
-        tls, trs, uls, slopes = tl[live], tr[live], ul[live], slope[live]
-        dts = trs - tls
-
-        def integrand(t, seg):
-            u = np.maximum(uls[seg] + slopes[seg] * (t - tls[seg]), 0.0)
-            with np.errstate(over="ignore"):
-                base = (phi_derivative(n, alpha * u ** q)
-                        * alpha * q * u ** (q - 1.0) * np.exp(c * t))
-            w_right = (t - tls[seg]) / dts[seg]
-            return np.stack([base * (1.0 - w_right), base * w_right])
-
-        vals, _, conv = integrate_segments(integrand, tls, trs, rel_tol=rel_tol)
-        if not np.all(conv):
-            warnings.warn("functional_gradient: quadrature cap reached",
-                          RuntimeWarning)
-        np.add.at(grad, idx, omega * vals[0])
-        np.add.at(grad, idx + 1, omega * vals[1])
     if not np.all(np.isfinite(grad)):
         warnings.warn("functional_gradient saturated: integrand overflowed",
                       RuntimeWarning)
@@ -294,27 +298,10 @@ def norms_gradient(profile: RadialProfile, params: ProblemParams,
                           - np.concatenate([edge, [0.0]]))
 
     c = n - params.gamma
-    d_weight = np.zeros(profile.num_nodes)
+    d_weight = _hat_integrals(
+        profile, params, lambda t, u: n * u ** (n - 1) * np.exp(c * t), rel_tol)
     u0 = profile.values[0]
     d_weight[0] += omega * n * u0 ** (n - 1) * profile.radii[0] ** c / c
-    tl, tr, ul, ur, slope = _segment_arrays(profile)
-    live = (ul > 0.0) | (ur > 0.0)
-    if np.any(live):
-        idx = np.nonzero(live)[0]
-        tls, trs, uls, slopes = tl[live], tr[live], ul[live], slope[live]
-        dts = trs - tls
-
-        def integrand(t, seg):
-            u = np.maximum(uls[seg] + slopes[seg] * (t - tls[seg]), 0.0)
-            base = n * u ** (n - 1) * np.exp(c * t)
-            w_right = (t - tls[seg]) / dts[seg]
-            return np.stack([base * (1.0 - w_right), base * w_right])
-
-        vals, _, conv = integrate_segments(integrand, tls, trs, rel_tol=rel_tol)
-        if not np.all(conv):
-            warnings.warn("norms_gradient: quadrature cap reached", RuntimeWarning)
-        np.add.at(d_weight, idx, omega * vals[0])
-        np.add.at(d_weight, idx + 1, omega * vals[1])
     return d_grad, d_weight
 
 

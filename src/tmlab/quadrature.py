@@ -2,12 +2,16 @@
 
 The radial integrals are sums over profile segments of smooth integrands in the
 log-radius variable, so the natural unit of work is "integrate f over m
-intervals simultaneously".  Each interval starts as a few panels; every round
-evaluates all new panels in one vectorized call, compares the embedded 7-point
-Gauss estimate against the 15-point Kronrod estimate, and bisects the panels of
-intervals that have not met their relative tolerance.  Subdivision is capped at
-``max_panels`` panels per interval, which sets the ``converged`` flag False
-instead of raising.
+intervals simultaneously".  Interval i starts as c_i = ceil(width / init_width)
+equal panels (at most ``max_init_panels``), laid out for all intervals at once
+with np.linspace's arithmetic.  Every round evaluates all new panels in one
+vectorized call, sums the panels of each interval with one bincount, compares
+the embedded 7-point Gauss estimate against the 15-point Kronrod estimate, and
+bisects the panels of intervals that have not met their relative tolerance.
+A round thus costs a fixed number of numpy operations, whatever m is (only
+the round-off force split below loops over intervals).
+Subdivision is capped at ``max_panels`` panels per interval, which sets the
+``converged`` flag False and warns once instead of raising.
 """
 
 from __future__ import annotations
@@ -86,29 +90,35 @@ def integrate_segments(f, lefts, rights, rel_tol=1e-10, max_panels=4096,
     counts = np.clip(np.ceil((rights - lefts) / init_width).astype(int),
                      1, max_init_panels)
     seg = np.repeat(np.arange(m), counts)
-    pa = np.concatenate([np.linspace(lefts[i], rights[i], counts[i] + 1)[:-1]
-                         for i in range(m)])
-    pb = np.concatenate([np.linspace(lefts[i], rights[i], counts[i] + 1)[1:]
-                         for i in range(m)])
+    # panel j of interval i spans [j*h_i + l_i, (j+1)*h_i + l_i], h_i = width/c_i,
+    # and the last right edge is r_i itself: np.linspace's own arithmetic
+    ends = np.cumsum(counts)
+    j = np.arange(seg.size) - np.repeat(ends - counts, counts)
+    step = ((rights - lefts) / counts)[seg]
+    pa = j * step + lefts[seg]
+    pb = (j + 1) * step + lefts[seg]
+    pb[ends - 1] = rights
     ivals, errs = _eval_panels(f, seg, pa, pb)
     k = ivals.shape[0]
+    row_offsets = np.arange(3 * k)[:, None] * m
     capped = np.zeros(m, dtype=bool)
 
-    for _ in range(_MAX_ROUNDS):
+    for rnd in range(_MAX_ROUNDS + 1):  # the last pass only sums
         n_panels = np.bincount(seg, minlength=m)
-        i_seg = np.stack([np.bincount(seg, weights=ivals[c], minlength=m)
-                          for c in range(k)])
-        e_seg = np.stack([np.bincount(seg, weights=errs[c], minlength=m)
-                          for c in range(k)])
-        # L1 panel magnitude as the scale so cancelling integrals still converge
-        a_seg = np.stack([np.bincount(seg, weights=np.abs(ivals[c]), minlength=m)
-                          for c in range(k)])
+        # one bincount over row*m + seg sums the k integral, k error and k
+        # |integral| rows of every interval, each bin in panel order; the L1
+        # panel magnitude is the scale, so cancelling integrals still converge
+        weights = np.concatenate([ivals, errs, np.abs(ivals)]).ravel()
+        sums = np.bincount((row_offsets + seg).ravel(), weights,
+                           minlength=3 * k * m)
+        i_seg, e_seg, a_seg = sums.reshape(3, k, m)
         tol_seg = rel_tol * np.maximum(a_seg, _ABS_FLOOR)
-        seg_bad = np.any(e_seg > tol_seg, axis=0) & ~capped
+        bad = np.any(e_seg > tol_seg, axis=0)
+        seg_bad = bad & ~capped
         newly_capped = seg_bad & (n_panels >= max_panels)
         capped |= newly_capped
         seg_bad &= ~newly_capped
-        if not np.any(seg_bad):
+        if not np.any(seg_bad) or rnd == _MAX_ROUNDS:
             break
         # split panels carrying more than their share of the segment budget
         share = tol_seg[:, seg] / (2.0 * n_panels[seg])
@@ -131,19 +141,11 @@ def integrate_segments(f, lefts, rights, rel_tol=1e-10, max_panels=4096,
         ivals = np.concatenate([ivals[:, keep], child_i], axis=1)
         errs = np.concatenate([errs[:, keep], child_e], axis=1)
 
-    i_seg = np.stack([np.bincount(seg, weights=ivals[c], minlength=m)
-                      for c in range(k)])
-    e_seg = np.stack([np.bincount(seg, weights=errs[c], minlength=m)
-                      for c in range(k)])
-    a_seg = np.stack([np.bincount(seg, weights=np.abs(ivals[c]), minlength=m)
-                      for c in range(k)])
-    tol_seg = rel_tol * np.maximum(a_seg, _ABS_FLOOR)
-    converged = ~np.any(e_seg > tol_seg, axis=0)
-    if np.any(~converged):
+    if np.any(bad):
         warnings.warn(
             f"quadrature hit the {max_panels}-panel cap on "
-            f"{int(np.sum(~converged))} interval(s)", RuntimeWarning)
-    return i_seg, e_seg, converged
+            f"{int(np.sum(bad))} interval(s)", RuntimeWarning)
+    return i_seg, e_seg, ~bad
 
 
 def integrate(f, a, b, rel_tol=1e-10, max_panels=4096):

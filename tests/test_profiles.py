@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ class TestWeightedLpPow:
             got = weighted_lp_pow(p, pw, params.beta, params)
             ref = oracle_weighted_lp(p, pw, params.beta, params)
             assert_rel_close(got, ref, 1e-9)
+
+    def test_cap_hit_warns_once(self):
+        # no tolerance below round-off is reachable: every live segment runs
+        # into the panel cap, and integrate_segments alone reports it
+        params = make_params((2, 0.0, 0.0))
+        p = RadialProfile([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            weighted_lp_pow(p, 2.0, 0.0, params, rel_tol=1e-30)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "panel cap on 2 interval(s)" in str(caught[0].message)
 
     def test_divergent_weight_rejected(self):
         params = make_params((2, 0.0, 0.0))

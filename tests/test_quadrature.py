@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tmlab.quadrature import integrate, integrate_segments
+from tmlab.quadrature import _NODES, integrate, integrate_segments
 
 
 def test_polynomial_exact():
@@ -64,3 +64,66 @@ def test_mild_endpoint_kink_converges():
                              rel_tol=1e-11)
     assert conv
     assert val == pytest.approx(0.4, rel=1e-10)
+
+
+_MIXED_LEFTS = -40.0 + np.cumsum(np.random.default_rng(11).exponential(3.0, 60))
+_MIXED_WIDTHS = 1e-3 + np.random.default_rng(12).exponential(4.0, 60)
+
+
+def _first_call_points(lefts, rights):
+    calls = []
+
+    def f(t, seg):
+        calls.append((t.copy(), seg.copy()))
+        return np.zeros((1, t.size))
+
+    integrate_segments(f, lefts, rights)
+    return calls[0]
+
+
+@pytest.mark.parametrize("lefts, rights", [
+    # every width below init_width: one panel each
+    ([-3.0, 0.25, 1.0], [-2.7, 1.25, 2.999]),
+    # width 200 asks for 100 panels and gets max_init_panels
+    ([-200.0, 0.0], [0.0, 129.5]),
+    # many intervals of mixed width, as on a profile grid in log radius
+    (_MIXED_LEFTS, _MIXED_LEFTS + _MIXED_WIDTHS),
+])
+def test_initial_panels_match_per_interval_linspace(lefts, rights):
+    lefts, rights = np.asarray(lefts), np.asarray(rights)
+    counts = np.clip(np.ceil((rights - lefts) / 2.0).astype(int), 1, 64)
+    edges = [np.linspace(a, b, c + 1) for a, b, c in zip(lefts, rights, counts)]
+    pa = np.concatenate([e[:-1] for e in edges])
+    pb = np.concatenate([e[1:] for e in edges])
+    expected = (0.5 * (pb + pa))[:, None] + (0.5 * (pb - pa))[:, None] * _NODES
+
+    t, seg = _first_call_points(lefts, rights)
+    assert np.array_equal(t, expected.ravel())
+    assert np.array_equal(seg, np.repeat(np.repeat(np.arange(lefts.size), counts),
+                                         _NODES.size))
+
+
+def test_three_components_one_refining():
+    # a narrow Gaussian needs several rounds; a cubic and an exponential
+    # converge at once on the same panels
+    lefts = np.array([-2.0, 0.0, 1.5, 3.0])
+    rights = np.array([0.0, 1.5, 3.0, 7.0])
+    centers = np.array([-1.3, 0.2, 2.9, 5.0])
+    width = 0.05
+    calls = []
+
+    def f(t, seg):
+        calls.append(t.size)
+        return np.stack([np.exp(-((t - centers[seg]) / width) ** 2),
+                         t ** 3, np.exp(t)])
+
+    vals, errs, conv = integrate_segments(f, lefts, rights, rel_tol=1e-12)
+    assert vals.shape == errs.shape == (3, 4)
+    assert conv.all()
+    assert len(calls) > 3
+    for i, (a, b, c) in enumerate(zip(lefts, rights, centers)):
+        gauss = 0.5 * math.sqrt(math.pi) * width * (
+            math.erf((b - c) / width) - math.erf((a - c) / width))
+        assert vals[0, i] == pytest.approx(gauss, rel=1e-10)
+        assert vals[1, i] == pytest.approx((b ** 4 - a ** 4) / 4, rel=1e-12, abs=1e-13)
+        assert vals[2, i] == pytest.approx(math.exp(b) - math.exp(a), rel=1e-12)
