@@ -13,6 +13,7 @@ even moments and once by finite differences.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -177,27 +178,30 @@ def relation_scan(params: ProblemParams, alpha_grid, config: OptimizerConfig,
     the transported profiles.  That makes the one-sided bound
     b_estimate >= g(alpha) * a_estimate(alpha) hold by construction up to
     quadrature error; the two-sided gap is reported as a quality diagnostic,
-    not asserted.
+    not asserted.  With jobs > 1 the multistart legs of each maximization
+    run in that many worker processes; the grid is still walked in order with
+    its warm starts, so the result does not depend on jobs.
     """
     crit = critical_alpha_beta(params)
     grid = sorted(float(a) for a in alpha_grid)
     if not grid or not (0.0 < grid[0] and grid[-1] < crit):
         raise DomainError("alpha grid must lie strictly inside (0, critical)")
-    a_results = _scan_a(params, grid, config, jobs)
-    at_critical = replace(params, alpha=crit)
-    transported = []
-    rows = []
-    for alpha, res in zip(grid, a_results):
-        point = replace(params, alpha=alpha)
-        moved = lemma2_transport(res.profile, alpha, point)
-        transported.append((f"transport-{alpha:.6g}", moved.profile,
-                            functional(moved.profile, at_critical)))
-        rows.append((alpha, res))
-    # ascending from the best-valued transport dominates every transported
-    # value, so seeding with it alone keeps the one-sided bound guaranteed
-    best_transport = max(transported, key=lambda t: t[2])
-    b_result = maximize_B(at_critical, config,
-                          extra_starts=[best_transport[:2]])
+    with _leg_pool(jobs) as pool:
+        a_results = _scan_a(params, grid, config, pool)
+        at_critical = replace(params, alpha=crit)
+        transported = []
+        rows = []
+        for alpha, res in zip(grid, a_results):
+            point = replace(params, alpha=alpha)
+            moved = lemma2_transport(res.profile, alpha, point)
+            transported.append((f"transport-{alpha:.6g}", moved.profile,
+                                functional(moved.profile, at_critical)))
+            rows.append((alpha, res))
+        # ascending from the best-valued transport dominates every transported
+        # value, so seeding with it alone keeps the one-sided bound guaranteed
+        best_transport = max(transported, key=lambda t: t[2])
+        b_result = maximize_B(at_critical, config,
+                              extra_starts=[best_transport[:2]], pool=pool)
     out_rows = []
     for alpha, res in rows:
         g = g_factor(alpha, params)
@@ -211,27 +215,26 @@ def relation_scan(params: ProblemParams, alpha_grid, config: OptimizerConfig,
                         sup_product=sup_product, gap=gap)
 
 
-def _a_point(args):
-    params, alpha, config, warm = args
-    point = replace(params, alpha=alpha)
-    extra = [("warm", warm)] if warm is not None else []
-    return maximize_A(point, config, extra_starts=extra)
+def _leg_pool(jobs):
+    """Worker processes for multistart legs, or no pool when jobs <= 1."""
+    if jobs <= 1:
+        return nullcontext()
+    # imported only here: they would add to the start-up time of every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=jobs,
+                               mp_context=multiprocessing.get_context("spawn"))
 
 
-def _scan_a(params, grid, config, jobs):
-    if jobs > 1:
-        # grid points are independent; warm starts are dropped so the output
-        # is identical regardless of scheduling
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_a_point,
-                                 [(params, a, config, None) for a in grid]))
+def _scan_a(params, grid, config, pool):
+    """Ratio maximizers along the grid, each warm-started from the previous."""
     results = []
-    warm = None
+    warm = []
     for alpha in grid:
-        res = _a_point((params, alpha, config, warm))
-        warm = res.profile
+        res = maximize_A(replace(params, alpha=alpha), config,
+                         extra_starts=warm, pool=pool)
+        warm = [("warm", res.profile)]
         results.append(res)
     return results
 

@@ -10,6 +10,7 @@ Exit codes: 0 success (flagged rows allowed), 2 I/O or parse failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      PreconditionError, ValidationError)
 from .optimizer import OptimizerConfig, maximize_A, maximize_B
 from .profiles import (RadialProfile, functional_log, grad_norm_pow, norms,
-                       weighted_lp_pow)
+                       random_profile, weighted_lp_pow)
 from .report import ScanTable
 
 
@@ -262,11 +263,7 @@ def cmd_transform_check(cfg: dict) -> int:
         comments=["radial change-of-functions checks on seeded random profiles"])
     n = params.dim
     for i in range(count):
-        gaps = rng.uniform(0.15, 1.2, size=9)
-        t = -7.0 + 11.5 * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
-        values = rng.uniform(0.0, 2.0, size=10)
-        values[-1] = 0.0
-        u = RadialProfile(np.exp(t), values)
+        u = random_profile(rng)
         v = transform.push_profile(u, spec)
         g_u, g_v = grad_norm_pow(u, params), grad_norm_pow(v, params)
         grad_err = abs(g_u - g_v) / max(g_u, 1e-300)
@@ -294,7 +291,9 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on first use and reused: parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="tmlab",
         description="weighted exponential-functional laboratory on radial profiles")

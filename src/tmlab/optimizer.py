@@ -29,9 +29,13 @@ import numpy as np
 from . import moser
 from .core import ProblemParams, critical_alpha_beta
 from .errors import SupercriticalError, ValidationError
-from .profiles import (RadialProfile, at_normalize, dilate, functional,
-                       functional_gradient, grad_norm_pow, norms,
-                       norms_gradient, weighted_lp_pow)
+from .profiles import (RadialProfile, at_normalize, dilate, dilated_norms,
+                       functional, functional_gradient,
+                       functional_gradient_quantity, functional_quantity,
+                       grad_norm_pow, grad_norm_pow_gradient,
+                       integrate_quantities, norms, norms_gradient,
+                       weight_gradient_quantity, weight_quantity,
+                       weighted_lp_pow)
 
 _CRIT_SLACK = 1e-12
 
@@ -171,20 +175,27 @@ def starting_profiles(params: ProblemParams, config: OptimizerConfig):
 
 
 def _objective_b(values, radii, params, quad_tol):
-    """R(u) = J(u / ||u||_X) and its gradient on the fixed radii grid."""
+    """R(u) = J(u / ||u||_X) and its gradient on the fixed radii grid.
+
+    Two quadrature passes: the weight norm power and its gradient on u, then
+    J and its gradient on the normalized profile.
+    """
     n = params.dim
     prof = RadialProfile(radii, values)
-    rep = norms(prof, params, rel_tol=quad_tol)
-    if rep.full_pow <= 0.0:
+    w_pow, d_weight = integrate_quantities(
+        prof, [weight_quantity(prof, n, params.gamma, params),
+               weight_gradient_quantity(prof, params)], quad_tol)
+    full_pow = grad_norm_pow(prof, params) + w_pow
+    if full_pow <= 0.0:
         return 0.0, np.zeros_like(values)
-    scale = rep.full_pow ** (-1.0 / n)
+    scale = full_pow ** (-1.0 / n)
     scaled = prof.scaled(scale)
-    value = functional(scaled, params, rel_tol=quad_tol)
-    g = functional_gradient(scaled, params, rel_tol=quad_tol)
-    d_grad, d_weight = norms_gradient(prof, params, rel_tol=quad_tol)
-    grad = scale * g - (float(g @ values) / n) * (scale / rep.full_pow) \
-        * (d_grad + d_weight)
-    return value, grad
+    j, g = integrate_quantities(
+        scaled, [functional_quantity(scaled, params),
+                 functional_gradient_quantity(scaled, params)], quad_tol)
+    grad = scale * g - (float(g @ values) / n) * (scale / full_pow) \
+        * (grad_norm_pow_gradient(prof, params) + d_weight)
+    return j.value, grad
 
 
 def _objective_a(values, radii, params, quad_tol):
@@ -192,6 +203,8 @@ def _objective_a(values, radii, params, quad_tol):
 
     theta = (N - beta)/(N - gamma); dividing by the weight norm power to theta
     equals dilating v onto the unit weight sphere, by the dilation identity.
+    One quadrature pass on v gives J, the weight norm power and both their
+    gradients; the gradient norm and its gradient are closed forms.
     """
     n = params.dim
     theta = (n - params.beta) / (n - params.gamma)
@@ -201,17 +214,18 @@ def _objective_a(values, radii, params, quad_tol):
         return 0.0, np.zeros_like(values)
     c = g_pow ** (-1.0 / n)
     v = prof.scaled(c)
-    w_pow = weighted_lp_pow(v, n, params.gamma, params, rel_tol=quad_tol)
+    w_pow, d_weight_v, j_log, g_j = integrate_quantities(
+        v, [weight_quantity(v, n, params.gamma, params),
+            weight_gradient_quantity(v, params),
+            functional_quantity(v, params),
+            functional_gradient_quantity(v, params)], quad_tol)
     if w_pow <= 0.0:
         return 0.0, np.zeros_like(values)
-    j = functional(v, params, rel_tol=quad_tol)
-    g_j = functional_gradient(v, params, rel_tol=quad_tol)
-    d_grad_v, d_weight_v = norms_gradient(v, params, rel_tol=quad_tol)
+    j = j_log.value
     value = j * w_pow ** (-theta)
     # dF/dv, then pull back through v = c(u) * u
     df = g_j * w_pow ** (-theta) - theta * j * w_pow ** (-theta - 1.0) * d_weight_v
-    d_gpow_u = norms_gradient(prof, params, rel_tol=quad_tol)[0]
-    dc = -(1.0 / n) * g_pow ** (-1.0 / n - 1.0) * d_gpow_u
+    dc = -(1.0 / n) * g_pow ** (-1.0 / n - 1.0) * grad_norm_pow_gradient(prof, params)
     grad = c * df + float(df @ values) * dc
     return value, grad
 
@@ -284,15 +298,18 @@ def _dilation_polish(profile, params, value, quad_tol, span=2.0, tol=1e-7):
     """Golden-section ascent of J over the renormalized dilation family.
 
     Dilation moves radii, a direction the fixed value grid cannot take, so an
-    exact one-parameter search recovers it; only improvements are kept.
+    exact one-parameter search recovers it; only improvements are kept.  The
+    norms of each dilate come from the profile's own by the exact dilation
+    laws, so a step costs one quadrature pass, for J.
     """
     n = params.dim
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    rep = norms(profile, params, rel_tol=quad_tol)
 
     def value_at(s):
-        moved = dilate(profile, math.exp(s))
-        full = norms(moved, params, rel_tol=quad_tol).full_pow
-        moved = moved.scaled(full ** (-1.0 / n))
+        lam = math.exp(s)
+        full = dilated_norms(rep, lam, params).full_pow
+        moved = dilate(profile, lam).scaled(full ** (-1.0 / n))
         return functional(moved, params, rel_tol=quad_tol), moved
 
     a, b = -span, span
@@ -377,20 +394,27 @@ def _ascend(start_id, profile, params, config, mode):
                               diagnostics=diagnostics)
 
 
-def _best_over_starts(params, config, mode, extra_starts=()):
+def _best_over_starts(params, config, mode, extra_starts, pool):
     starts = list(extra_starts) + starting_profiles(params, config)
-    results = [_ascend(sid, prof, params, config, mode) for sid, prof in starts]
+    ids, profs = zip(*starts)
+    k = len(starts)
+    # legs are independent, so a pool only changes where they run; results
+    # come back in roster order and max keeps the first of equal values
+    results = list((pool.map if pool else map)(
+        _ascend, ids, profs, [params] * k, [config] * k, [mode] * k))
     return max(results, key=lambda r: r.value)
 
 
 def maximize_B(params: ProblemParams, config: OptimizerConfig | None = None,
-               extra_starts=()) -> MaximizationResult:
+               extra_starts=(), pool=None) -> MaximizationResult:
     """Maximize the functional over the unit ball of the full weighted norm.
 
     The maximum sits on the unit sphere (scaling any interior point up
     strictly increases the functional), which the composite objective encodes
     by renormalizing.  Requires alpha <= critical; beyond that the supremum is
     infinite and the request is refused with a pointer to the witness.
+    An executor given as pool runs the multistart legs; the result is the
+    same with or without it.
     """
     config = config or OptimizerConfig()
     crit = critical_alpha_beta(params)
@@ -399,15 +423,15 @@ def maximize_B(params: ProblemParams, config: OptimizerConfig | None = None,
             f"alpha={params.alpha} exceeds the critical coefficient {crit}: the "
             "supremum is infinite; see moser.plateau_lower_bound for the "
             "diverging lower bound along the concentrating family")
-    return _best_over_starts(params, config, "B", extra_starts)
+    return _best_over_starts(params, config, "B", extra_starts, pool)
 
 
 def maximize_A(params: ProblemParams, config: OptimizerConfig | None = None,
-               extra_starts=()) -> MaximizationResult:
+               extra_starts=(), pool=None) -> MaximizationResult:
     """Maximize the scale-invariant ratio form (gradient ball, weight ratio).
 
     Requires alpha strictly below critical: the ratio supremum is infinite at
-    and above the critical coefficient.
+    and above the critical coefficient.  pool is as in maximize_B.
     """
     config = config or OptimizerConfig()
     crit = critical_alpha_beta(params)
@@ -416,7 +440,7 @@ def maximize_A(params: ProblemParams, config: OptimizerConfig | None = None,
             f"alpha={params.alpha} is not strictly below the critical "
             f"coefficient {crit}: the ratio supremum is infinite there; see "
             "moser.plateau_lower_bound for the diverging lower bound")
-    return _best_over_starts(params, config, "A", extra_starts)
+    return _best_over_starts(params, config, "A", extra_starts, pool)
 
 
 def gradient_check(params: ProblemParams, profile: RadialProfile,

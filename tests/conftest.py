@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tmlab import ProblemParams, RadialProfile
+from tmlab import ProblemParams
+from tmlab.profiles import random_profile  # noqa: F401  (the tests import it from here)
 
 # Parameter matrix used throughout: (dim, beta, gamma).
 MATRIX = [
@@ -35,15 +36,6 @@ def make_params(cell, alpha=None, alpha_ratio=None):
 @pytest.fixture(params=MATRIX, ids=lambda c: f"N{c[0]}_b{c[1]}_g{c[2]}")
 def cell(request):
     return request.param
-
-
-def random_profile(rng, n_nodes=10, t_lo=-7.0, t_hi=4.5, vmax=2.0):
-    """Random strictly-increasing log grid with nonnegative values, zero tail."""
-    gaps = rng.uniform(0.15, 1.2, size=n_nodes - 1)
-    t = t_lo + (t_hi - t_lo) * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
-    values = rng.uniform(0.0, vmax, size=n_nodes)
-    values[-1] = 0.0
-    return RadialProfile(np.exp(t), values)
 
 
 def eval_profile(profile, r):

@@ -192,6 +192,29 @@ class TestCompositeObjectives:
                 scale = max(abs(fd), abs(grad[i]), 1e-3 * np.abs(grad).max())
                 assert abs(grad[i] - fd) / scale < 1e-5, (objective.__name__, i)
 
+    def test_quadrature_passes_per_call(self, monkeypatch):
+        # one fused pass per mode-A call, two per mode-B call, and in the
+        # polish one pass for the norms plus one per evaluated dilate
+        from tmlab import optimizer, profiles
+
+        passes, polish_steps = [], []
+        inner, inner_functional = profiles.integrate_segments, optimizer.functional
+        monkeypatch.setattr(profiles, "integrate_segments",
+                            lambda *a, **k: passes.append(1) or inner(*a, **k))
+        monkeypatch.setattr(optimizer, "functional", lambda *a, **k:
+                            polish_steps.append(1) or inner_functional(*a, **k))
+        params = make_params((3, 1.0, 0.5), alpha_ratio=0.7)
+        p = random_profile(np.random.default_rng(83), n_nodes=8)
+        for objective, count in ((optimizer._objective_a, 1),
+                                 (optimizer._objective_b, 2)):
+            passes.clear()
+            objective(p.values, p.radii, params, 1e-10)
+            assert len(passes) == count, objective.__name__
+        unit = p.scaled(norms(p, params).full_pow ** (-1.0 / params.dim))
+        passes.clear()
+        optimizer._dilation_polish(unit, params, 0.0, 1e-10)
+        assert len(passes) == 1 + len(polish_steps)
+
 
 class TestResultSerialization:
     def test_json_roundtrip_fields(self, b_result_2d):

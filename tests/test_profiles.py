@@ -9,6 +9,11 @@ from scipy.integrate import quad
 from tmlab import (ProblemParams, RadialProfile, at_normalize, dilate,
                    functional, functional_gradient, functional_log,
                    grad_norm_pow, norms, norms_gradient, weighted_lp_pow)
+from tmlab import profiles
+from tmlab.optimizer import OptimizerConfig, starting_profiles
+from tmlab.profiles import (dilated_norms, functional_gradient_quantity,
+                            functional_quantity, integrate_quantities,
+                            weight_gradient_quantity, weight_quantity)
 from tmlab.errors import (DegenerateInputError, DivergentWeightError,
                           DomainError, ValidationError)
 
@@ -17,6 +22,39 @@ from conftest import (MATRIX, assert_rel_close, finite_difference_gradient,
                       oracle_weighted_lp, random_profile)
 
 ZERO = RadialProfile([1.0], [0.0])
+
+
+def _all_quantities(p, params):
+    """Everything the mode-A objective takes from one pass."""
+    return [weight_quantity(p, params.dim, params.gamma, params),
+            weight_gradient_quantity(p, params),
+            functional_quantity(p, params),
+            functional_gradient_quantity(p, params)]
+
+
+def _singles(p, params):
+    """The same four from the single-quantity functions."""
+    return [weighted_lp_pow(p, params.dim, params.gamma, params),
+            norms_gradient(p, params)[1], functional(p, params),
+            functional_gradient(p, params)]
+
+
+def _counted(monkeypatch, profile, quantities):
+    """(integrand rounds, results) of one integrate_quantities call."""
+    rounds = []
+    inner = profiles.integrate_segments
+
+    def counting(f, *args, **kwargs):
+        return inner(lambda t, seg: rounds.append(1) or f(t, seg), *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(profiles, "integrate_segments", counting)
+        results = integrate_quantities(profile, quantities)
+    return len(rounds), results
+
+
+def _as_array(result):
+    return np.atleast_1d(getattr(result, "value", result))
 
 
 class TestRadialProfileValidation:
@@ -133,11 +171,14 @@ class TestWeightedLpPow:
         # into the panel cap, and integrate_segments alone reports it
         params = make_params((2, 0.0, 0.0))
         p = RadialProfile([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            weighted_lp_pow(p, 2.0, 0.0, params, rel_tol=1e-30)
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "panel cap on 2 interval(s)" in str(caught[0].message)
+        for call in (lambda: weighted_lp_pow(p, 2.0, 0.0, params, rel_tol=1e-30),
+                     lambda: integrate_quantities(p, _all_quantities(p, params),
+                                                  rel_tol=1e-30)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            assert [w.category for w in caught] == [RuntimeWarning]
+            assert "panel cap on 2 interval(s)" in str(caught[0].message)
 
     def test_divergent_weight_rejected(self):
         params = make_params((2, 0.0, 0.0))
@@ -305,6 +346,19 @@ class TestDilate:
                 weighted_lp_pow(q, n, g, params),
                 lam ** (-(n - g)) * weighted_lp_pow(p, n, g, params), 1e-11)
 
+    def test_dilated_norms_match_integrated(self, cell):
+        # the dilation polish takes its norms from these laws
+        params = make_params(cell)
+        rng = np.random.default_rng(59)
+        for _ in range(4):
+            p = random_profile(rng)
+            rep = norms(p, params)
+            for lam in (math.exp(-2.0), 0.6, 1.0, 1.9, math.exp(2.0)):
+                law = dilated_norms(rep, lam, params)
+                direct = norms(dilate(p, lam), params)
+                assert law.grad_pow == rep.grad_pow
+                assert_rel_close(law.full_pow, direct.full_pow, 1e-12)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
             dilate(ZERO, 0.0)
@@ -355,3 +409,40 @@ class TestCknEmbeddingSanity:
                 assert math.isfinite(ratio)
                 worst = max(worst, ratio)
         assert worst < 50.0
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("cell", [(2, 0.0, 0.0), (2, 1.0, 0.5)], ids=str)
+    def test_first_round_profiles_bit_identical(self, cell, monkeypatch):
+        params = make_params(cell, alpha_ratio=0.9)
+        config = OptimizerConfig(node_count=65, random_starts=0)
+        for sid, p in starting_profiles(params, config):
+            rounds, fused = _counted(monkeypatch, p, _all_quantities(p, params))
+            assert rounds == 1, sid
+            for got, alone in zip(fused, _singles(p, params)):
+                assert np.array_equal(_as_array(got), _as_array(alone)), sid
+
+    @pytest.mark.parametrize("case", ["peak", "N3_moser"])
+    def test_refining_profile_within_rel_tol(self, case, monkeypatch):
+        if case == "peak":
+            params = make_params((2, 0.0, 0.0), alpha_ratio=1.0)
+            p = RadialProfile(np.exp([-3.0, -1.0, 0.0, 1.0, 3.0]),
+                              [0.5, 1.0, 2.5, 1.0, 0.0])
+        else:
+            params = make_params((3, 1.0, 0.5), alpha_ratio=0.9)
+            p = dict(starting_profiles(params, OptimizerConfig(node_count=65)))[
+                "moser-5"]
+        rounds, fused = _counted(monkeypatch, p, _all_quantities(p, params))
+        alone_rounds = [_counted(monkeypatch, p, [q])[0]
+                        for q in _all_quantities(p, params)]
+        # the fused pass refines some quantity beyond what it needs alone
+        assert min(alone_rounds) < rounds
+        for got, alone in zip(fused, _singles(p, params)):
+            got, alone = _as_array(got), _as_array(alone)
+            assert np.abs(got - alone).max() <= 1e-10 * np.abs(alone).max()
+
+    def test_zero_profile(self):
+        params = make_params((3, 1.0, 0.5))
+        w, dw, j, dj = integrate_quantities(ZERO, _all_quantities(ZERO, params))
+        assert w == 0.0 and j.log == -math.inf
+        assert not dw.any() and not dj.any()
