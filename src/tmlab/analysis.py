@@ -21,11 +21,14 @@ import numpy as np
 from .core import ProblemParams, critical_alpha_beta
 from .errors import (DegenerateInputError, DomainError, PreconditionError)
 from .optimizer import MaximizationResult, OptimizerConfig, maximize_A, maximize_B
-from .profiles import (RadialProfile, dilate, functional, norms,
-                       weighted_lp_pow)
+from .profiles import (RadialProfile, dilate, functional, functional_log_batch,
+                       grad_norm_pow, norms, weighted_lp_pow,
+                       weighted_lp_pow_batch)
 from .report import ScanTable
 
 _FEAS_TOL = 1e-8
+# even moments of the orbit series integrated per quadrature pass
+_MOMENT_CHUNK = 24
 
 
 def g_factor(alpha: float, params: ProblemParams) -> float:
@@ -209,8 +212,9 @@ def relation_scan(params: ProblemParams, alpha_grid, config: OptimizerConfig,
                                     a_estimate=res.value,
                                     product=g * res.value,
                                     b_estimate=b_result.value))
-    sup_product = max(r.product for r in out_rows)
-    gap = abs(sup_product - b_result.value) / b_result.value
+    # plain floats: numpy scalars would print as np.float64(...) in the header
+    sup_product = float(max(r.product for r in out_rows))
+    gap = float(abs(sup_product - b_result.value) / b_result.value)
     return RelationScan(rows=tuple(out_rows), b_result=b_result,
                         sup_product=sup_product, gap=gap)
 
@@ -312,11 +316,16 @@ def orbit_derivative(v: RadialProfile, alpha: float, params: ProblemParams,
     log_fact = 0.0
     saturated = False
     quiet = 0
+    moments = []
     j = 0
     while j < j_max:
         j += 1
+        if j > len(moments):
+            exponents = [2.0 * i for i in range(j, min(j + _MOMENT_CHUNK, j_max + 1))]
+            moments += weighted_lp_pow_batch([v] * len(exponents), exponents,
+                                             beta, params)
         log_fact += math.log(j)
-        m2j = weighted_lp_pow(v, 2.0 * j, beta, params)
+        m2j = moments[j - 1]
         if m2j == 0.0:
             break
         term = math.exp(j * log_alpha - log_fact + math.log(m2j)) \
@@ -336,19 +345,19 @@ def orbit_derivative(v: RadialProfile, alpha: float, params: ProblemParams,
     if j >= j_max and quiet < 3:
         saturated = True
 
+    # J(orbit(tau)) at tau = 1 +- h and 1 +- h/2, each profile scaled onto
+    # the unit sphere: one pass for the four weight norms, one for the four J
     at_alpha = replace(params, alpha=alpha)
-
-    def j_at(tau: float) -> float:
-        moved = _orbit_profile(v, tau)
-        full = norms(moved, at_alpha, rel_tol=1e-12).full_pow
-        w = moved.scaled(full ** (-0.5))
-        return functional(w, at_alpha, rel_tol=1e-12)
-
-    def central(h: float) -> float:
-        return (j_at(1.0 + h) - j_at(1.0 - h)) / (2.0 * h)
-
-    d_h = central(fd_step)
-    d_h2 = central(fd_step / 2.0)
+    steps = (fd_step, fd_step / 2.0)
+    moved = [_orbit_profile(v, 1.0 + sign * h) for h in steps for sign in (1, -1)]
+    weights = weighted_lp_pow_batch(moved, params.dim, params.gamma, at_alpha,
+                                    rel_tol=1e-12)
+    on_sphere = [m.scaled((grad_norm_pow(m, at_alpha) + w) ** (-0.5))
+                 for m, w in zip(moved, weights)]
+    j_vals = [lv.value for lv in functional_log_batch(on_sphere, at_alpha,
+                                                      rel_tol=1e-12)]
+    d_h, d_h2 = ((j_vals[2 * i] - j_vals[2 * i + 1]) / (2.0 * h)
+                 for i, h in enumerate(steps))
     fd = (4.0 * d_h2 - d_h) / 3.0
     return OrbitReport(series=total, fd=fd, terms=tuple(terms),
                        truncation_index=len(terms), saturated=saturated)
@@ -378,8 +387,10 @@ def moment_ratio_table(v: RadialProfile, alpha_tilde: float,
                       comments=["moment-bound ratios; running max is the "
                                 "empirical constant",
                                 f"alpha_tilde={alpha_tilde!r}"])
-    for j in range(2, j_max + 1):
-        m2j = weighted_lp_pow(v, 2.0 * j, params.beta, params)
+    js = range(2, j_max + 1)
+    moments = weighted_lp_pow_batch([v] * len(js), [2.0 * j for j in js],
+                                    params.beta, params)
+    for j, m2j in zip(js, moments):
         log_ratio = (math.log(m2j) + j * math.log(alpha_tilde)
                      - math.lgamma(j + 1.0) - (j - 1.0) * log_a - log_b)
         table.append(j, math.exp(log_ratio))

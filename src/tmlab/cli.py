@@ -24,7 +24,7 @@ from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      PreconditionError, ValidationError)
 from .optimizer import OptimizerConfig, maximize_A, maximize_B
 from .profiles import (RadialProfile, functional_log, grad_norm_pow, norms,
-                       random_profile, weighted_lp_pow)
+                       random_profile, weighted_lp_pow_batch)
 from .report import ScanTable
 
 
@@ -189,14 +189,15 @@ def cmd_moser(cfg: dict) -> int:
                  "plateau_lower_bound_log"),
         comments=["concentrating-family table",
                   "weight columns: closed form vs adaptive quadrature"])
-    for n in range(n_min, n_max + 1):
-        elem = moser.build(n, params)
-        closed = moser.weight_norm_closed_form(n, params)
-        quadded = weighted_lp_pow(elem.profile, params.dim, params.gamma, params)
-        rel = abs(closed - quadded) / max(closed, 1e-300)
-        table.append(n, elem.amplitude, elem.log_depth, elem.lam,
-                     grad_norm_pow(elem.profile, params), closed, quadded, rel,
-                     moser.plateau_lower_bound(n, params).log)
+    elems = [moser.build(n, params) for n in range(n_min, n_max + 1)]
+    quadded = weighted_lp_pow_batch([e.profile for e in elems], params.dim,
+                                    params.gamma, params)
+    for elem, w in zip(elems, quadded):
+        closed = elem.weight_pow
+        rel = abs(closed - w) / max(closed, 1e-300)
+        table.append(elem.index, elem.amplitude, elem.log_depth, elem.lam,
+                     grad_norm_pow(elem.profile, params), closed, w, rel,
+                     moser.plateau_lower_bound(elem.index, params, closed).log)
     _emit_table(table, cfg)
     return 0
 
@@ -262,15 +263,15 @@ def cmd_transform_check(cfg: dict) -> int:
                  "identity_residual", "roundtrip_rel_err"),
         comments=["radial change-of-functions checks on seeded random profiles"])
     n = params.dim
-    for i in range(count):
-        u = random_profile(rng)
-        v = transform.push_profile(u, spec)
+    us = [random_profile(rng) for _ in range(count)]
+    vs = [transform.push_profile(u, spec) for u in us]
+    w_us = weighted_lp_pow_batch(us, n, params.gamma, params)
+    w_vs = weighted_lp_pow_batch(vs, n, 0.0, params)
+    resids = transform.verify_integral_identity_batch(us, params)
+    for i, (u, v, w_u, w_v, resid) in enumerate(zip(us, vs, w_us, w_vs, resids)):
         g_u, g_v = grad_norm_pow(u, params), grad_norm_pow(v, params)
         grad_err = abs(g_u - g_v) / max(g_u, 1e-300)
-        w_u = weighted_lp_pow(u, n, params.gamma, params)
-        w_v = weighted_lp_pow(v, n, 0.0, params)
         weight_err = abs(w_u - w_v) / max(w_u, 1e-300)
-        resid = transform.verify_integral_identity(u, params)
         back = transform.pull_profile(v, spec)
         rt = max(float(np.max(np.abs(back.radii - u.radii) / u.radii)),
                  float(np.max(np.abs(back.values - u.values)

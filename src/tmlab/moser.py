@@ -17,6 +17,7 @@ diverges above the critical coefficient and powers the near-critical scan.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .core import (LogValue, ProblemParams, critical_alpha_beta, log_phi,
@@ -34,6 +35,7 @@ class MoserElement:
     amplitude: float      # A_n
     log_depth: float      # b_n
     lam: float            # normalization factor lambda_n
+    weight_pow: float     # closed-form weighted L^N norm power, un-normalized
     profile: RadialProfile
     normalized: bool = False
 
@@ -47,12 +49,34 @@ def _constants(n: int, params: ProblemParams):
     return a_n, b_n
 
 
+def _largest_index(params: ProblemParams) -> int:
+    """Largest n whose plateau radius e^(-n/(N-beta)) is a positive double."""
+    nb = params.dim - params.beta
+    n = math.floor(nb * -math.log(sys.float_info.min * sys.float_info.epsilon))
+    while n > 0 and math.exp(-n / nb) == 0.0:
+        n -= 1
+    while math.exp(-(n + 1) / nb) > 0.0:
+        n += 1
+    return n
+
+
 def build(n: int, params: ProblemParams) -> MoserElement:
-    """The n-th element, un-normalized: plateau A_n b_n down to zero at r = 1."""
+    """The n-th element, un-normalized: plateau A_n b_n down to zero at r = 1.
+
+    Refuses an index whose plateau radius e^(-n/(N-beta)) underflows to 0.
+    """
     a_n, b_n = _constants(n, params)
-    profile = RadialProfile([math.exp(-b_n), 1.0], [a_n * b_n, 0.0])
+    r_0 = math.exp(-b_n)
+    if r_0 == 0.0:
+        raise DomainError(
+            f"the plateau radius e^(-n/(N-beta)) underflows at n={n} for "
+            f"N={params.dim}, beta={params.beta}: the largest index that can "
+            f"be built is {_largest_index(params)}")
+    w = weight_norm_closed_form(n, params)
+    profile = RadialProfile([r_0, 1.0], [a_n * b_n, 0.0])
     return MoserElement(index=n, amplitude=a_n, log_depth=b_n,
-                        lam=lam(n, params), profile=profile, normalized=False)
+                        lam=_lam_from_weight(w, params), weight_pow=w,
+                        profile=profile, normalized=False)
 
 
 def weight_norm_closed_form(n: int, params: ProblemParams) -> float:
@@ -80,10 +104,13 @@ def weight_norm_limit(params: ProblemParams) -> float:
     return (nd - params.beta) * math.gamma(nd + 1.0) / (nd - params.gamma) ** (nd + 1.0)
 
 
+def _lam_from_weight(w: float, params: ProblemParams) -> float:
+    return (1.0 + w) ** (-1.0 / params.dim)
+
+
 def lam(n: int, params: ProblemParams) -> float:
     """Normalization lambda_n with lambda^N (1 + weight_norm) = 1."""
-    w = weight_norm_closed_form(n, params)
-    return (1.0 + w) ** (-1.0 / params.dim)
+    return _lam_from_weight(weight_norm_closed_form(n, params), params)
 
 
 def normalized(n: int, params: ProblemParams) -> MoserElement:
@@ -92,16 +119,20 @@ def normalized(n: int, params: ProblemParams) -> MoserElement:
     return replace(elem, profile=elem.profile.scaled(elem.lam), normalized=True)
 
 
-def plateau_lower_bound(n: int, params: ProblemParams) -> LogValue:
+def plateau_lower_bound(n: int, params: ProblemParams,
+                        weight_pow: float | None = None) -> LogValue:
     """Exact plateau piece of the functional of the normalized element.
 
     (omega/(N-beta)) e^-n Phi_N((n alpha / alpha_crit) lambda_n^(N/(N-1))):
     a rigorous lower bound for the whole functional, valid for every alpha
-    including the supercritical range where it diverges with n.
+    including the supercritical range where it diverges with n.  A caller
+    that has weight_norm_closed_form(n, params) passes it as weight_pow.
     """
     nd = params.dim
     crit = critical_alpha_beta(params)
-    lam_n = lam(n, params)
+    if weight_pow is None:
+        weight_pow = weight_norm_closed_form(n, params)
+    lam_n = _lam_from_weight(weight_pow, params)
     arg = (n * params.alpha / crit) * lam_n ** params.exponent
     log_val = (math.log(params.sphere_area / (nd - params.beta)) - n
                + log_phi(nd, arg))
@@ -170,7 +201,7 @@ def asymptotic_lower_scan(params: ProblemParams, alpha_grid) -> ScanTable:
         point = replace(params, alpha=float(alpha))
         n = select_index(alpha, crit)
         w = weight_norm_closed_form(n, point)
-        log_ratio = plateau_lower_bound(n, point).log - theta * math.log(w)
+        log_ratio = plateau_lower_bound(n, point, w).log - theta * math.log(w)
         ratio_val = LogValue(log_ratio).value
         product = LogValue(
             log_ratio + theta * math.log1p(-(alpha / crit) ** (nd - 1))).value

@@ -35,7 +35,7 @@ from .profiles import (RadialProfile, at_normalize, dilate, dilated_norms,
                        grad_norm_pow, grad_norm_pow_gradient,
                        integrate_quantities, norms, norms_gradient,
                        weight_gradient_quantity, weight_quantity,
-                       weighted_lp_pow)
+                       weighted_lp_pow, weighted_lp_pow_cuts)
 
 _CRIT_SLACK = 1e-12
 
@@ -132,16 +132,12 @@ def _half_mass_radius(profile: RadialProfile, params: ProblemParams) -> float:
     """Radius enclosing half of the weighted L^N mass; the spread diagnostic."""
     if profile.is_zero:
         return math.nan
-    total = weighted_lp_pow(profile, params.dim, params.gamma, params)
+    total, cut = weighted_lp_pow_cuts(profile, params.dim, params.gamma, params)
     radii = profile.radii
     lo, hi = 0, radii.size - 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        values = profile.values.copy()
-        values[mid:] = 0.0
-        inner = weighted_lp_pow(RadialProfile(radii, values), params.dim,
-                                params.gamma, params)
-        if inner >= 0.5 * total:
+        if cut(mid) >= 0.5 * total:
             hi = mid
         else:
             lo = mid
@@ -183,16 +179,16 @@ def _objective_b(values, radii, params, quad_tol):
     n = params.dim
     prof = RadialProfile(radii, values)
     w_pow, d_weight = integrate_quantities(
-        prof, [weight_quantity(prof, n, params.gamma, params),
-               weight_gradient_quantity(prof, params)], quad_tol)
+        prof, [weight_quantity(n, params.gamma, params),
+               weight_gradient_quantity(params)], quad_tol)
     full_pow = grad_norm_pow(prof, params) + w_pow
     if full_pow <= 0.0:
         return 0.0, np.zeros_like(values)
     scale = full_pow ** (-1.0 / n)
     scaled = prof.scaled(scale)
     j, g = integrate_quantities(
-        scaled, [functional_quantity(scaled, params),
-                 functional_gradient_quantity(scaled, params)], quad_tol)
+        scaled, [functional_quantity(params),
+                 functional_gradient_quantity(params)], quad_tol)
     grad = scale * g - (float(g @ values) / n) * (scale / full_pow) \
         * (grad_norm_pow_gradient(prof, params) + d_weight)
     return j.value, grad
@@ -215,10 +211,10 @@ def _objective_a(values, radii, params, quad_tol):
     c = g_pow ** (-1.0 / n)
     v = prof.scaled(c)
     w_pow, d_weight_v, j_log, g_j = integrate_quantities(
-        v, [weight_quantity(v, n, params.gamma, params),
-            weight_gradient_quantity(v, params),
-            functional_quantity(v, params),
-            functional_gradient_quantity(v, params)], quad_tol)
+        v, [weight_quantity(n, params.gamma, params),
+            weight_gradient_quantity(params),
+            functional_quantity(params),
+            functional_gradient_quantity(params)], quad_tol)
     if w_pow <= 0.0:
         return 0.0, np.zeros_like(values)
     j = j_log.value

@@ -12,9 +12,13 @@ exactly, so the gradient norm has a closed form with zero quadrature error.
 The weighted L^p integrals and the exponential functional are integrated
 segment by segment with adaptive Gauss-Kronrod quadrature in t = log r, where
 every integrand is smooth.  Each integrated quantity is written once, as a
-``Quantity`` (its integrand rows and its finish step); integrate_quantities
-evaluates any list of them in one quadrature pass, so a caller that needs a
-value and its gradient on the same profile integrates the profile once.
+``Quantity`` (its integrand rows and its finish step), and "live segments ->
+integrand -> integrate" is written once too, for any number of profiles:
+integrate_batch lays the live segments of all profiles of a batch end to
+end as the intervals of one quadrature call and finishes each profile on its
+own slice.  So a caller that needs a value and its gradient on one profile
+integrates it once, and a caller with many profiles integrates them together,
+with each profile's results the same bit for bit as from a batch of one.
 """
 
 from __future__ import annotations
@@ -133,108 +137,187 @@ class NormReport:
     full_pow: float
 
 
-class Quantity(NamedTuple):
-    """One integral over a profile's live segments, ready to be fused.
+class LiveSegments(NamedTuple):
+    """The segments where u is not zero, of a batch of profiles, end to end.
 
-    rows(t, u, seg) gives the quantity's k integrand rows, shape (k, n), at
-    log-radii t, profile values u and segment indices seg.  finish(idx, vals)
-    turns the integrals over the live segments idx, shape (k, idx.size), into
-    the result and adds the exact plateau piece.  A quantity is built for one
-    profile and integrated on that profile.
+    Profile b owns entries bounds[b]:bounds[b+1], in segment order.  idx is
+    each entry's segment index in its own profile; (t0, u0) and (t1, u1) are
+    the segment's end nodes in t = log r.
+    """
+
+    profiles: tuple
+    bounds: list
+    idx: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
+    u0: np.ndarray
+    u1: np.ndarray
+
+    @classmethod
+    def of(cls, profiles) -> "LiveSegments":
+        """The table of one or more profiles."""
+        profiles = tuple(profiles)
+        parts = []
+        for p in profiles:
+            i = np.nonzero((p.values[:-1] > 0.0) | (p.values[1:] > 0.0))[0]
+            j = i + 1
+            parts.append((i, p.log_radii[i], p.log_radii[j], p.values[i],
+                          p.values[j]))
+        columns = (parts[0] if len(parts) == 1
+                   else [np.concatenate(c) for c in zip(*parts)])
+        bounds = list(itertools.accumulate((c[0].size for c in parts), initial=0))
+        return cls(profiles, bounds, *columns)
+
+
+class Quantity(NamedTuple):
+    """One integral over the live segments of every profile in a batch.
+
+    bind(live) prepares the quantity for one LiveSegments table and returns
+    (rows, finish): rows(t, u, seg) gives its k integrand rows, shape (k, n),
+    at log-radii t, profile values u and table entries seg; finish(b, vals)
+    turns the integrals over profile b's live segments, shape (k, n_b), into
+    the result and adds the exact plateau piece.
     """
 
     k: int
-    rows: Callable
-    finish: Callable
+    bind: Callable
+
+
+def _integrate_live(live: LiveSegments, quantities, rel_tol: float):
+    """(finish steps, integrals (sum of k, entries)) of quantities on a table."""
+    bound = [q.bind(live) for q in quantities]
+    if live.idx.size == 0:
+        vals = np.zeros((sum(q.k for q in quantities), 0))
+    else:
+        slope = (live.u1 - live.u0) / (live.t1 - live.t0)
+
+        def f(t, seg):
+            u = np.maximum(live.u0[seg] + slope[seg] * (t - live.t0[seg]), 0.0)
+            return np.concatenate([rows(t, u, seg) for rows, _ in bound])
+
+        vals, _, _ = integrate_segments(f, live.t0, live.t1, rel_tol=rel_tol)
+    return [finish for _, finish in bound], vals
+
+
+def integrate_batch(profiles, quantities, rel_tol: float = TOL_QUAD) -> list:
+    """results[b][i], quantity i on profile b, from one quadrature pass.
+
+    The live segments of all profiles are laid end to end as the intervals
+    of one integrate_segments call, which warns once if any reaches its panel
+    cap.  integrate_segments refines each interval on its own, so a profile's
+    results are the same bit for bit as from a batch of that profile alone.
+    The rows of the quantities are stacked, so within one profile they do
+    share refinement: a segment is refined until every row meets rel_tol,
+    and where another row forces a split a quantity can differ from its value
+    integrated alone by up to rel_tol.
+    """
+    if not profiles:
+        return []
+    live = LiveSegments.of(profiles)
+    finishes, vals = _integrate_live(live, quantities, rel_tol)
+    rows = list(itertools.accumulate((q.k for q in quantities), initial=0))
+    return [[finish(b, vals[r0:r1, lo:hi])
+             for finish, r0, r1 in zip(finishes, rows[:-1], rows[1:])]
+            for b, (lo, hi) in enumerate(zip(live.bounds[:-1], live.bounds[1:]))]
 
 
 def integrate_quantities(profile: RadialProfile, quantities,
                          rel_tol: float = TOL_QUAD) -> list:
-    """The results of several quantities on one profile from one quadrature pass.
-
-    The integrand rows of all quantities are stacked into a single
-    integrate_segments call over the segments where u is not zero, which warns
-    once if it reaches its panel cap.  A segment is refined until every row
-    meets rel_tol, so where another row forces a split a quantity can differ
-    from its value integrated alone by up to rel_tol; where no segment needs
-    a second round the results are the same bit for bit.
-    """
-    tn, un = profile.log_radii, profile.values
-    idx = np.nonzero((un[:-1] > 0.0) | (un[1:] > 0.0))[0]
-    bounds = list(itertools.accumulate([q.k for q in quantities], initial=0))
-    if idx.size == 0:
-        vals = np.zeros((bounds[-1], 0))
-    else:
-        slope = np.diff(un) / np.diff(tn)
-
-        def f(t, live_seg):
-            seg = idx[live_seg]
-            u = np.maximum(un[seg] + slope[seg] * (t - tn[seg]), 0.0)
-            return np.concatenate([q.rows(t, u, seg) for q in quantities])
-
-        vals, _, _ = integrate_segments(f, tn[idx], tn[idx + 1], rel_tol=rel_tol)
-    return [q.finish(idx, vals[a:b])
-            for q, a, b in zip(quantities, bounds[:-1], bounds[1:])]
+    """The results of several quantities on one profile: a batch of one."""
+    return integrate_batch([profile], quantities, rel_tol)[0]
 
 
-def _hat_gradient(profile: RadialProfile, params: ProblemParams, base,
-                  plateau: float) -> Quantity:
-    """Node gradient of omega * int base(t, u) dt, plus plateau at node 0.
+def _hat_gradient(params: ProblemParams, base, plateau) -> Quantity:
+    """Node gradient of omega * int base(t, u) dt, plus plateau(profile) at node 0.
 
     Each segment's integrals of base times its two interpolation hat weights
     go to the segment's left and right node.
     """
-    tn, dt = profile.log_radii, np.diff(profile.log_radii)
+    def bind(live):
+        dt = live.t1 - live.t0
 
-    def rows(t, u, seg):
-        b = base(t, u)
-        w_right = (t - tn[seg]) / dt[seg]
-        return np.stack([b * (1.0 - w_right), b * w_right])
+        def rows(t, u, seg):
+            b = base(t, u)
+            w_right = (t - live.t0[seg]) / dt[seg]
+            return np.stack([b * (1.0 - w_right), b * w_right])
 
-    def finish(idx, vals):
-        out = np.zeros(profile.num_nodes)
-        # left-node integrals of every segment first, then the right-node ones
-        np.add.at(out, np.concatenate([idx, idx + 1]),
-                  params.sphere_area * vals.ravel())
-        out[0] += plateau
-        return out
+        def finish(b, vals):
+            profile = live.profiles[b]
+            idx = live.idx[live.bounds[b]:live.bounds[b + 1]]
+            out = np.zeros(profile.num_nodes)
+            # left-node integrals of every segment first, then the right-node ones
+            np.add.at(out, np.concatenate([idx, idx + 1]),
+                      params.sphere_area * vals.ravel())
+            out[0] += plateau(profile)
+            return out
 
-    return Quantity(2, rows, finish)
+        return rows, finish
+
+    return Quantity(2, bind)
 
 
-def weight_quantity(profile: RadialProfile, p: float, delta: float,
-                    params: ProblemParams) -> Quantity:
+def weight_quantity(p, delta: float, params: ProblemParams) -> Quantity:
     """omega * int_0^inf u(r)^p r^(N-1-delta) dr, as a float.
 
-    The plateau piece is exact; segments are integrated in t = log r, where
-    the weight becomes the smooth factor e^((N-delta) t).
+    p is one exponent, or a sequence of one exponent per profile of the
+    batch.  Each profile's rows are evaluated with its own scalar exponent:
+    an array exponent in u ** p can change the last bit.  The plateau piece
+    is exact; segments are integrated in t = log r, where the weight becomes
+    the smooth factor e^((N-delta) t).
     """
-    if p < 1:
-        raise DomainError(f"exponent p must be >= 1, got {p}")
+    scalar = np.isscalar(p)
+    exponents = [p] if scalar else [float(x) for x in p]
+    for x in exponents:
+        if x < 1:
+            raise DomainError(f"exponent p must be >= 1, got {x}")
     n = params.dim
     if delta >= n:
         raise DivergentWeightError(
             f"weight exponent {delta} >= dimension {n}: plateau integral diverges")
     omega = params.sphere_area
     c = n - delta
-    plateau = omega * profile.values[0] ** p * profile.radii[0] ** c / c
-    return Quantity(1, lambda t, u, seg: (u ** p * np.exp(c * t))[None, :],
-                    lambda idx, vals: plateau + omega * float(vals.sum()))
+
+    def bind(live):
+        if scalar:
+            def rows(t, u, seg):
+                return (u ** p * np.exp(c * t))[None, :]
+        else:
+            entry_item = np.repeat(np.arange(len(live.profiles)),
+                                   np.diff(live.bounds))
+
+            def rows(t, u, seg):
+                item = entry_item[seg]
+                out = np.empty((1, t.size))
+                for b, x in enumerate(exponents):
+                    sel = item == b
+                    out[0, sel] = u[sel] ** x * np.exp(c * t[sel])
+                return out
+
+        def finish(b, vals):
+            profile = live.profiles[b]
+            x = exponents[0] if scalar else exponents[b]
+            plateau = omega * profile.values[0] ** x * profile.radii[0] ** c / c
+            return plateau + omega * float(vals.sum())
+
+        return rows, finish
+
+    return Quantity(1, bind)
 
 
-def weight_gradient_quantity(profile: RadialProfile,
-                             params: ProblemParams) -> Quantity:
+def weight_gradient_quantity(params: ProblemParams) -> Quantity:
     """Node gradient of the weight norm power (p = N, weight |x|^-gamma)."""
     n = params.dim
     c = n - params.gamma
-    plateau = (params.sphere_area * n * profile.values[0] ** (n - 1)
-               * profile.radii[0] ** c / c)
-    return _hat_gradient(profile, params,
-                         lambda t, u: n * u ** (n - 1) * np.exp(c * t), plateau)
+
+    def plateau(profile):
+        return (params.sphere_area * n * profile.values[0] ** (n - 1)
+                * profile.radii[0] ** c / c)
+
+    return _hat_gradient(params, lambda t, u: n * u ** (n - 1) * np.exp(c * t),
+                         plateau)
 
 
-def functional_quantity(profile: RadialProfile,
-                        params: ProblemParams) -> Quantity:
+def functional_quantity(params: ProblemParams) -> Quantity:
     """The exponential functional as a LogValue.
 
     Each segment is integrated after factoring out the maximum of the
@@ -245,32 +328,37 @@ def functional_quantity(profile: RadialProfile,
     q = params.exponent
     omega = params.sphere_area
     c = n - beta
-    plateau_logs = []
-    u0 = profile.values[0]
-    if u0 > 0.0:
-        plateau_logs.append(math.log(omega / c) + c * profile.log_radii[0]
+
+    def bind(live):
+        shift = np.maximum(alpha * live.u0 ** q + c * live.t0,
+                           alpha * live.u1 ** q + c * live.t1)
+
+        def rows(t, u, seg):
+            with np.errstate(divide="ignore"):
+                g = log_phi(n, alpha * u ** q) + c * t - shift[seg]
+            return np.exp(g)[None, :]
+
+        def finish(b, vals):
+            profile = live.profiles[b]
+            logs = []
+            u0 = profile.values[0]
+            if u0 > 0.0:
+                logs.append(math.log(omega / c) + c * profile.log_radii[0]
                             + log_phi(n, alpha * u0 ** q))
-    node_logs = alpha * profile.values ** q + c * profile.log_radii
-    shift = np.maximum(node_logs[:-1], node_logs[1:])
+            with np.errstate(divide="ignore"):
+                seg_logs = (shift[live.bounds[b]:live.bounds[b + 1]]
+                            + np.log(vals[0]) + math.log(omega))
+            logs += list(seg_logs[np.isfinite(seg_logs)])
+            if not logs:
+                return LogValue(-math.inf)
+            return LogValue(float(np.logaddexp.reduce(np.asarray(logs))))
 
-    def rows(t, u, seg):
-        with np.errstate(divide="ignore"):
-            g = log_phi(n, alpha * u ** q) + c * t - shift[seg]
-        return np.exp(g)[None, :]
+        return rows, finish
 
-    def finish(idx, vals):
-        with np.errstate(divide="ignore"):
-            seg_logs = shift[idx] + np.log(vals[0]) + math.log(omega)
-        logs = plateau_logs + list(seg_logs[np.isfinite(seg_logs)])
-        if not logs:
-            return LogValue(-math.inf)
-        return LogValue(float(np.logaddexp.reduce(np.asarray(logs))))
-
-    return Quantity(1, rows, finish)
+    return Quantity(1, bind)
 
 
-def functional_gradient_quantity(profile: RadialProfile,
-                                 params: ProblemParams) -> Quantity:
+def functional_gradient_quantity(params: ProblemParams) -> Quantity:
     """Node gradient of the functional; warns if an integrand overflows.
 
     Differentiates the plateau closed form and the segment integrands through
@@ -286,20 +374,27 @@ def functional_gradient_quantity(profile: RadialProfile,
             return (phi_derivative(n, alpha * u ** q)
                     * alpha * q * u ** (q - 1.0) * np.exp(c * t))
 
-    u0 = profile.values[0]
-    plateau = (params.sphere_area * phi_derivative(n, alpha * u0 ** q)
-               * alpha * q * u0 ** (q - 1.0)
-               * profile.radii[0] ** c / c)
-    hat = _hat_gradient(profile, params, base, plateau)
+    def plateau(profile):
+        u0 = profile.values[0]
+        return (params.sphere_area * phi_derivative(n, alpha * u0 ** q)
+                * alpha * q * u0 ** (q - 1.0)
+                * profile.radii[0] ** c / c)
 
-    def finish(idx, vals):
-        grad = hat.finish(idx, vals)
-        if not np.all(np.isfinite(grad)):
-            warnings.warn("functional_gradient saturated: integrand overflowed",
-                          RuntimeWarning)
-        return grad
+    hat = _hat_gradient(params, base, plateau)
 
-    return hat._replace(finish=finish)
+    def bind(live):
+        rows, hat_finish = hat.bind(live)
+
+        def finish(b, vals):
+            grad = hat_finish(b, vals)
+            if not np.all(np.isfinite(grad)):
+                warnings.warn("functional_gradient saturated: integrand overflowed",
+                              RuntimeWarning)
+            return grad
+
+        return rows, finish
+
+    return hat._replace(bind=bind)
 
 
 def grad_norm_pow(profile: RadialProfile, params: ProblemParams) -> float:
@@ -329,8 +424,46 @@ def grad_norm_pow_gradient(profile: RadialProfile,
 def weighted_lp_pow(profile: RadialProfile, p: float, delta: float,
                     params: ProblemParams, rel_tol: float = TOL_QUAD) -> float:
     """Weighted integral omega * int_0^inf u(r)^p r^(N-1-delta) dr."""
-    quantity = weight_quantity(profile, p, delta, params)
-    return integrate_quantities(profile, [quantity], rel_tol)[0]
+    return weighted_lp_pow_batch([profile], p, delta, params, rel_tol)[0]
+
+
+def weighted_lp_pow_batch(profiles, p, delta: float, params: ProblemParams,
+                          rel_tol: float = TOL_QUAD) -> list:
+    """weighted_lp_pow of each profile from one quadrature pass, bit for bit.
+
+    p is one exponent, or a sequence of one exponent per profile.
+    """
+    quantity = weight_quantity(p, delta, params)
+    return [w for w, in integrate_batch(profiles, [quantity], rel_tol)]
+
+
+def weighted_lp_pow_cuts(profile: RadialProfile, p: float, delta: float,
+                         params: ProblemParams, rel_tol: float = TOL_QUAD):
+    """weighted_lp_pow of a profile and of its cuts, from one quadrature pass.
+
+    Returns (total, cut): cut(m), 1 <= m < num_nodes, is weighted_lp_pow of
+    the profile with values[m:] set to 0, bit for bit.  That cut keeps the
+    live segments before m - 1 and replaces segment m - 1 by a ramp down to
+    0, so one pass over the live segments and every such ramp gives them all.
+    """
+    live = LiveSegments.of([profile])
+    ramp = live.u0 > 0.0
+    ramp_idx = live.idx[ramp]
+    n_live = live.idx.size
+    # the ramps follow the live segments as more entries of profile 0
+    both = LiveSegments(
+        live.profiles, [0, n_live + ramp_idx.size],
+        *[np.concatenate([col, col[ramp]]) for col in live[2:6]],
+        np.concatenate([live.u1, np.zeros(ramp_idx.size)]))
+    (finish,), vals = _integrate_live(both, [weight_quantity(p, delta, params)],
+                                      rel_tol)
+    seg_vals, ramp_vals = vals[:, :n_live], vals[:, n_live:]
+
+    def cut(m):
+        return finish(0, np.concatenate([seg_vals[:, live.idx < m - 1],
+                                         ramp_vals[:, ramp_idx == m - 1]], axis=1))
+
+    return finish(0, seg_vals), cut
 
 
 def norms(profile: RadialProfile, params: ProblemParams,
@@ -344,8 +477,14 @@ def norms(profile: RadialProfile, params: ProblemParams,
 def functional_log(profile: RadialProfile, params: ProblemParams,
                    rel_tol: float = TOL_QUAD) -> LogValue:
     """omega * int_0^inf Phi_N(alpha u^(N/(N-1))) r^(N-1-beta) dr in log scale."""
-    quantity = functional_quantity(profile, params)
-    return integrate_quantities(profile, [quantity], rel_tol)[0]
+    return functional_log_batch([profile], params, rel_tol)[0]
+
+
+def functional_log_batch(profiles, params: ProblemParams,
+                         rel_tol: float = TOL_QUAD) -> list:
+    """functional_log of each profile from one quadrature pass, bit for bit."""
+    quantity = functional_quantity(params)
+    return [j for j, in integrate_batch(profiles, [quantity], rel_tol)]
 
 
 def functional(profile: RadialProfile, params: ProblemParams,
@@ -357,14 +496,14 @@ def functional(profile: RadialProfile, params: ProblemParams,
 def functional_gradient(profile: RadialProfile, params: ProblemParams,
                         rel_tol: float = TOL_QUAD) -> np.ndarray:
     """Partial derivatives of the functional with respect to the node values."""
-    quantity = functional_gradient_quantity(profile, params)
+    quantity = functional_gradient_quantity(params)
     return integrate_quantities(profile, [quantity], rel_tol)[0]
 
 
 def norms_gradient(profile: RadialProfile, params: ProblemParams,
                    rel_tol: float = TOL_QUAD):
     """Gradients of grad_pow and weight_pow with respect to node values."""
-    quantity = weight_gradient_quantity(profile, params)
+    quantity = weight_gradient_quantity(params)
     d_weight = integrate_quantities(profile, [quantity], rel_tol)[0]
     return grad_norm_pow_gradient(profile, params), d_weight
 

@@ -8,8 +8,12 @@ with np.linspace's arithmetic.  Every round evaluates all new panels in one
 vectorized call, sums the panels of each interval with one bincount, compares
 the embedded 7-point Gauss estimate against the 15-point Kronrod estimate, and
 bisects the panels of intervals that have not met their relative tolerance.
-A round thus costs a fixed number of numpy operations, whatever m is (only
-the round-off force split below loops over intervals).
+A round thus costs a fixed number of numpy operations, whatever m is.
+Each interval is refined on its own: whether it is split, and which of its
+panels are, depends on its own tolerance and panels alone, and its panels
+are summed in their own order.  So an interval's integral is the same bit
+for bit whether it is integrated alone or among any other intervals, which
+lets callers batch unrelated integrals into one call.
 Subdivision is capped at ``max_panels`` panels per interval, which sets the
 ``converged`` flag False and warns once instead of raising.
 """
@@ -122,13 +126,9 @@ def integrate_segments(f, lefts, rights, rel_tol=1e-10, max_panels=4096,
             break
         # split panels carrying more than their share of the segment budget
         share = tol_seg[:, seg] / (2.0 * n_panels[seg])
+        # (a bad interval always has one: if every panel's error were within
+        # its share, their sum would be within half the interval's tolerance)
         panel_bad = seg_bad[seg] & np.any(errs > share, axis=0)
-        if not np.any(panel_bad):
-            # round-off floor: force-split the worst panel of each bad segment
-            worst = errs.max(axis=0)
-            for s in np.nonzero(seg_bad)[0]:
-                members = np.nonzero(seg == s)[0]
-                panel_bad[members[np.argmax(worst[members])]] = True
         keep = ~panel_bad
         mid = 0.5 * (pa[panel_bad] + pb[panel_bad])
         child_seg = np.concatenate([seg[panel_bad], seg[panel_bad]])

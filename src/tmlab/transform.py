@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import ProblemParams
 from .errors import DomainError
-from .profiles import RadialProfile, functional_log
+from .profiles import RadialProfile, functional_log_batch
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -133,11 +133,22 @@ def verify_integral_identity(u: RadialProfile, params: ProblemParams,
     (alpha, beta) on the unweighted side.  Both sides are integrated
     independently; the residual is |1 - rhs/lhs| computed in log scale.
     """
+    return verify_integral_identity_batch([u], params, rel_tol)[0]
+
+
+def verify_integral_identity_batch(us, params: ProblemParams,
+                                   rel_tol: float = 1e-10) -> list:
+    """verify_integral_identity of each profile, bit for bit, in two passes."""
     spec = TransformSpec.from_params(params)
-    v = push_profile(u, spec)
-    lhs = functional_log(u, params, rel_tol=rel_tol)
-    rhs_log = (integral_identity_factor(params)
-               + functional_log(v, transformed_params(params), rel_tol=rel_tol).log)
-    if lhs.log == -math.inf and rhs_log == -math.inf:
-        return 0.0
-    return abs(math.expm1(rhs_log - lhs.log))
+    factor = integral_identity_factor(params)
+    lhs = functional_log_batch(us, params, rel_tol)
+    rhs = functional_log_batch([push_profile(u, spec) for u in us],
+                               transformed_params(params), rel_tol)
+    residuals = []
+    for left, right in zip(lhs, rhs):
+        rhs_log = factor + right.log
+        if left.log == -math.inf and rhs_log == -math.inf:
+            residuals.append(0.0)
+        else:
+            residuals.append(abs(math.expm1(rhs_log - left.log)))
+    return residuals

@@ -2,7 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS lines with timings.  Criterion 8 drives the full optimizer twice and
-dominates the runtime (several minutes); everything else is seconds.
+dominates the runtime (several minutes) and is marked ``slow``, so
+`pytest -m "not slow"` gives a quick loop; everything else is seconds.
 """
 
 import math
@@ -148,6 +149,7 @@ def test_criterion_07_lemma2_transport():
     _report(7, f"{count} transports feasible, worst value residual {worst_resid:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_08_relation_one_sided():
     _start(8)
     gaps = {}

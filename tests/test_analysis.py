@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from tmlab import (ProblemParams, RadialProfile, at_normalize,
-                   critical_alpha_beta, functional, grad_norm_pow, norms)
+                   critical_alpha_beta, functional, grad_norm_pow, norms,
+                   weighted_lp_pow)
+from tmlab.moser import normalized
 from tmlab.analysis import (g_factor, lemma2_transport, moment_ratio_table,
                             orbit_derivative, relation_scan,
                             theorem13_transport)
@@ -184,6 +186,27 @@ class TestOrbitDerivative:
             rep = orbit_derivative(v, 0.01 * crit, params)
             assert rep.series < 0
             assert rep.sign == -1
+
+    def test_chunked_moments_match_per_j_series(self):
+        # the series takes its moments in chunks; each term and the truncation
+        # are those of one weighted_lp_pow call per moment, bit for bit
+        params = make_params((2, 0.5, 0.5), alpha_ratio=0.6)
+        v = normalized(20, params).profile
+        v = v.scaled(norms(v, params).full_pow ** -0.5)
+        rep = orbit_derivative(v, params.alpha, params)
+        assert rep.truncation_index > 24  # more than one chunk
+        nrm = norms(v, params)
+        terms, total, log_fact = [], 0.0, 0.0
+        for j in range(1, rep.truncation_index + 1):
+            log_fact += math.log(j)
+            m2j = weighted_lp_pow(v, 2.0 * j, params.beta, params)
+            terms.append(math.exp(j * math.log(params.alpha) - log_fact
+                                  + math.log(m2j))
+                         * (1.0 - params.beta / 2.0)
+                         * (-nrm.grad_pow + (j - 1.0) * nrm.weight_pow))
+            total += terms[-1]
+        assert rep.terms == tuple(terms)
+        assert rep.series == total
 
     def test_unweighted_factor_is_one(self):
         # beta = 0 reduces the prefactor (1 - beta/2) to 1: first term is

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -122,6 +123,17 @@ class TestMoser:
         for line in lines[1:]:
             assert abs(float(line.split(",")[4]) - 1.0) < 1e-12
 
+    def test_plateau_underflow_exit_3(self, capsys):
+        # e^(-n/(N-beta)) is 0 in doubles from n = 75 on at N=2, beta=1.9
+        argv = ["moser", "--dim", "2", "--alpha-ratio", "0.5", "--beta", "1.9",
+                "--gamma", "0"]
+        assert run(argv + ["--n-max", "74"]) == 0
+        capsys.readouterr()
+        assert run(argv + ["--n-max", "75"]) == 3
+        err = capsys.readouterr().err
+        assert "underflows at n=75 for N=2, beta=1.9" in err
+        assert "largest index that can be built is 74" in err
+
     def test_bad_range_exit_2(self):
         rc = run(["moser", "--dim", "2", "--alpha", "1.0", "--beta", "0",
                   "--gamma", "0", "--n-min", "5", "--n-max", "2"])
@@ -171,6 +183,13 @@ class TestRelation:
         b = float(rows[0][4])
         for r in rows:
             assert b >= float(r[3]) - 1e-6  # one-sided bound
+        # the summary header lines carry plain floats
+        header = dict(re.fullmatch(r"# (\w+)=(\S+)", l).groups()
+                      for l in out.read_text().splitlines()
+                      if re.fullmatch(r"# \w+=\S+", l))
+        assert set(header) == {"sup_product", "b_estimate", "two_sided_gap"}
+        for value in header.values():
+            float(value)
 
     def test_json_format(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"

@@ -11,9 +11,12 @@ from tmlab import (ProblemParams, RadialProfile, at_normalize, dilate,
                    grad_norm_pow, norms, norms_gradient, weighted_lp_pow)
 from tmlab import profiles
 from tmlab.optimizer import OptimizerConfig, starting_profiles
+from tmlab.moser import normalized
 from tmlab.profiles import (dilated_norms, functional_gradient_quantity,
-                            functional_quantity, integrate_quantities,
-                            weight_gradient_quantity, weight_quantity)
+                            functional_log_batch, functional_quantity,
+                            integrate_quantities,
+                            weight_gradient_quantity, weight_quantity,
+                            weighted_lp_pow_batch, weighted_lp_pow_cuts)
 from tmlab.errors import (DegenerateInputError, DivergentWeightError,
                           DomainError, ValidationError)
 
@@ -24,12 +27,12 @@ from conftest import (MATRIX, assert_rel_close, finite_difference_gradient,
 ZERO = RadialProfile([1.0], [0.0])
 
 
-def _all_quantities(p, params):
+def _all_quantities(params):
     """Everything the mode-A objective takes from one pass."""
-    return [weight_quantity(p, params.dim, params.gamma, params),
-            weight_gradient_quantity(p, params),
-            functional_quantity(p, params),
-            functional_gradient_quantity(p, params)]
+    return [weight_quantity(params.dim, params.gamma, params),
+            weight_gradient_quantity(params),
+            functional_quantity(params),
+            functional_gradient_quantity(params)]
 
 
 def _singles(p, params):
@@ -171,14 +174,19 @@ class TestWeightedLpPow:
         # into the panel cap, and integrate_segments alone reports it
         params = make_params((2, 0.0, 0.0))
         p = RadialProfile([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
-        for call in (lambda: weighted_lp_pow(p, 2.0, 0.0, params, rel_tol=1e-30),
-                     lambda: integrate_quantities(p, _all_quantities(p, params),
-                                                  rel_tol=1e-30)):
+        q = RadialProfile([0.5, 3.0], [2.0, 0.0])
+        for call, capped in (
+                (lambda: weighted_lp_pow(p, 2.0, 0.0, params, rel_tol=1e-30), 2),
+                (lambda: integrate_quantities(p, _all_quantities(params),
+                                              rel_tol=1e-30), 2),
+                # a batch of several capped profiles still warns once
+                (lambda: weighted_lp_pow_batch([p, ZERO, q, p], 2.0, 0.0, params,
+                                               rel_tol=1e-30), 5)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 call()
             assert [w.category for w in caught] == [RuntimeWarning]
-            assert "panel cap on 2 interval(s)" in str(caught[0].message)
+            assert f"panel cap on {capped} interval(s)" in str(caught[0].message)
 
     def test_divergent_weight_rejected(self):
         params = make_params((2, 0.0, 0.0))
@@ -417,7 +425,7 @@ class TestFusedPass:
         params = make_params(cell, alpha_ratio=0.9)
         config = OptimizerConfig(node_count=65, random_starts=0)
         for sid, p in starting_profiles(params, config):
-            rounds, fused = _counted(monkeypatch, p, _all_quantities(p, params))
+            rounds, fused = _counted(monkeypatch, p, _all_quantities(params))
             assert rounds == 1, sid
             for got, alone in zip(fused, _singles(p, params)):
                 assert np.array_equal(_as_array(got), _as_array(alone)), sid
@@ -432,9 +440,9 @@ class TestFusedPass:
             params = make_params((3, 1.0, 0.5), alpha_ratio=0.9)
             p = dict(starting_profiles(params, OptimizerConfig(node_count=65)))[
                 "moser-5"]
-        rounds, fused = _counted(monkeypatch, p, _all_quantities(p, params))
+        rounds, fused = _counted(monkeypatch, p, _all_quantities(params))
         alone_rounds = [_counted(monkeypatch, p, [q])[0]
-                        for q in _all_quantities(p, params)]
+                        for q in _all_quantities(params)]
         # the fused pass refines some quantity beyond what it needs alone
         assert min(alone_rounds) < rounds
         for got, alone in zip(fused, _singles(p, params)):
@@ -443,6 +451,62 @@ class TestFusedPass:
 
     def test_zero_profile(self):
         params = make_params((3, 1.0, 0.5))
-        w, dw, j, dj = integrate_quantities(ZERO, _all_quantities(ZERO, params))
+        w, dw, j, dj = integrate_quantities(ZERO, _all_quantities(params))
         assert w == 0.0 and j.log == -math.inf
         assert not dw.any() and not dj.any()
+
+
+def _mixed_batch(rng, params):
+    """Zero profiles, random ones and concentrating elements, in one list."""
+    return [ZERO, random_profile(rng), random_profile(rng, n_nodes=3),
+            normalized(3, params).profile, ZERO, random_profile(rng, n_nodes=5),
+            normalized(30, params).profile, random_profile(rng, n_nodes=12)]
+
+
+class TestBatch:
+    """A profile's results in a batch equal its results alone, bit for bit."""
+
+    def test_weight_norms_and_functional(self, cell, monkeypatch):
+        params = make_params(cell, alpha_ratio=0.9)
+        batch = _mixed_batch(np.random.default_rng(17), params)
+        # some profile refines a segment past the first round on its own
+        assert max(_counted(monkeypatch, p, [functional_quantity(params)])[0]
+                   for p in batch) > 1
+        n, b, g = params.dim, params.beta, params.gamma
+        for p in (1.0, 2.0, float(n), 3.5):
+            for delta in (0.0, g, b):
+                assert weighted_lp_pow_batch(batch, p, delta, params) == \
+                    [weighted_lp_pow(u, p, delta, params) for u in batch]
+        assert [j.log for j in functional_log_batch(batch, params)] == \
+            [functional_log(u, params).log for u in batch]
+
+    def test_one_exponent_per_profile(self):
+        # each profile's rows use its own scalar exponent
+        params = make_params((2, 1.0, 0.5))
+        batch = _mixed_batch(np.random.default_rng(19), params)
+        exponents = [2.0 * j for j in range(1, len(batch) + 1)]
+        assert weighted_lp_pow_batch(batch, exponents, 1.0, params) == \
+            [weighted_lp_pow(u, p, 1.0, params) for u, p in zip(batch, exponents)]
+        v = batch[1]
+        assert weighted_lp_pow_batch([v] * 30, [2.0 * j for j in range(1, 31)],
+                                     1.0, params) == \
+            [weighted_lp_pow(v, 2.0 * j, 1.0, params) for j in range(1, 31)]
+
+    def test_empty_batch(self):
+        assert weighted_lp_pow_batch([], 2.0, 0.0, make_params((2, 0.0, 0.0))) == []
+
+    @pytest.mark.parametrize("cell", [(2, 0.0, 0.0), (3, 1.0, 0.5)], ids=str)
+    def test_cuts_match_truncated_profiles(self, cell):
+        params = make_params(cell)
+        rng = np.random.default_rng(23)
+        gappy = RadialProfile(np.exp(np.linspace(-4.0, 3.0, 9)),
+                              [1.0, 0.0, 0.0, 2.0, 0.5, 0.0, 1.5, 0.3, 0.0])
+        for p in (random_profile(rng), random_profile(rng, n_nodes=4), gappy,
+                  normalized(5, params).profile):
+            n, g = params.dim, params.gamma
+            total, cut = weighted_lp_pow_cuts(p, n, g, params)
+            assert total == weighted_lp_pow(p, n, g, params)
+            for m in range(1, p.num_nodes):
+                values = p.values.copy()
+                values[m:] = 0.0
+                assert cut(m) == weighted_lp_pow(p.with_values(values), n, g, params)

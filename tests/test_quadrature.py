@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,3 +128,33 @@ def test_three_components_one_refining():
         assert vals[0, i] == pytest.approx(gauss, rel=1e-10)
         assert vals[1, i] == pytest.approx((b ** 4 - a ** 4) / 4, rel=1e-12, abs=1e-13)
         assert vals[2, i] == pytest.approx(math.exp(b) - math.exp(a), rel=1e-12)
+
+
+def test_interval_alone_equals_interval_in_batch():
+    # every interval is refined on its own: its integral, error and flag are
+    # the same bit for bit alone and among other intervals, capped or not
+    rng = np.random.default_rng(29)
+    m = 40
+    lefts = rng.uniform(-8.0, 2.0, m)
+    rights = lefts + rng.uniform(0.05, 9.0, m)
+    freq = rng.uniform(0.0, 12.0, m)
+    growth = rng.uniform(-3.0, 3.0, m)
+
+    def rows(t, fr, gr):
+        return np.stack([np.exp(gr * t) * (1.5 + np.sin(fr * t)),
+                         np.cos(fr * t) ** 2])
+
+    with pytest.warns(RuntimeWarning, match="panel cap"):
+        vals, errs, conv = integrate_segments(
+            lambda t, seg: rows(t, freq[seg], growth[seg]), lefts, rights,
+            rel_tol=1e-13, max_panels=12)
+    assert conv.any() and not conv.all()
+    for i in range(m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            v, e, c = integrate_segments(
+                lambda t, seg: rows(t, freq[i], growth[i]), lefts[i:i + 1],
+                rights[i:i + 1], rel_tol=1e-13, max_panels=12)
+        assert np.array_equal(vals[:, i], v[:, 0])
+        assert np.array_equal(errs[:, i], e[:, 0])
+        assert conv[i] == c[0]
