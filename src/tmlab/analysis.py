@@ -16,8 +16,6 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core import ProblemParams, critical_alpha_beta
 from .errors import (DegenerateInputError, DomainError, PreconditionError)
 from .optimizer import MaximizationResult, OptimizerConfig, maximize_A, maximize_B
@@ -29,6 +27,10 @@ from .report import ScanTable
 _FEAS_TOL = 1e-8
 # even moments of the orbit series integrated per quadrature pass
 _MOMENT_CHUNK = 24
+# orbit_derivative: most series terms, their truncation tolerance, FD step in tau
+_ORBIT_J_MAX = 200
+_ORBIT_TERM_TOL = 1e-14
+_ORBIT_FD_STEP = 1e-5
 
 
 def g_factor(alpha: float, params: ProblemParams) -> float:
@@ -261,15 +263,11 @@ class OrbitReport:
     def rel_err(self) -> float:
         return abs(self.series - self.fd) / max(1.0, abs(self.fd))
 
-    def to_json(self) -> str:
-        import json
-
-        return json.dumps({"series": self.series, "fd": self.fd,
-                           "terms": list(self.terms),
-                           "truncation_index": self.truncation_index,
-                           "saturated": self.saturated, "sign": self.sign,
-                           "rel_err": self.rel_err},
-                          sort_keys=True, indent=2) + "\n"
+    def to_dict(self) -> dict:
+        return {"series": self.series, "fd": self.fd, "terms": list(self.terms),
+                "truncation_index": self.truncation_index,
+                "saturated": self.saturated, "sign": self.sign,
+                "rel_err": self.rel_err}
 
 
 def _require_orbit_setting(params: ProblemParams):
@@ -286,16 +284,15 @@ def _orbit_profile(v: RadialProfile, tau: float) -> RadialProfile:
     return dilate(v, rt).scaled(rt)
 
 
-def orbit_derivative(v: RadialProfile, alpha: float, params: ProblemParams,
-                     j_max: int = 200, term_tol: float = 1e-14,
-                     fd_step: float = 1e-5) -> OrbitReport:
+def orbit_derivative(v: RadialProfile, alpha: float,
+                     params: ProblemParams) -> OrbitReport:
     """d/dtau at tau=1 of the functional along the normalized orbit, two ways.
 
     Series route: sum over j of (alpha^j/j!) (1 - beta/2) m_2j
     (-grad_pow + (j-1) weight_pow) with m_2j the weighted even moments,
-    truncated once terms fall below term_tol relative for three consecutive
-    terms; growth past j_max sets the saturation flag.  FD route: central
-    differences with Richardson refinement of tau -> J(orbit(tau)), rebuilding
+    truncated once terms fall below _ORBIT_TERM_TOL relative for three
+    consecutive terms; growth past _ORBIT_J_MAX sets the saturation flag.  FD route:
+    central differences with Richardson refinement of tau -> J(orbit(tau)), rebuilding
     and renormalizing the profile at every tau.  Needs ||v||_X = 1 within 1e-8.
     """
     _require_orbit_setting(params)
@@ -318,10 +315,11 @@ def orbit_derivative(v: RadialProfile, alpha: float, params: ProblemParams,
     quiet = 0
     moments = []
     j = 0
-    while j < j_max:
+    while j < _ORBIT_J_MAX:
         j += 1
         if j > len(moments):
-            exponents = [2.0 * i for i in range(j, min(j + _MOMENT_CHUNK, j_max + 1))]
+            exponents = [2.0 * i for i in
+                         range(j, min(j + _MOMENT_CHUNK, _ORBIT_J_MAX + 1))]
             moments += weighted_lp_pow_batch([v] * len(exponents), exponents,
                                              beta, params)
         log_fact += math.log(j)
@@ -332,7 +330,7 @@ def orbit_derivative(v: RadialProfile, alpha: float, params: ProblemParams,
             * (1.0 - beta / 2.0) * (-a_pow + (j - 1.0) * b_pow)
         terms.append(term)
         total += term
-        if abs(term) <= term_tol * max(abs(total), 1e-300):
+        if abs(term) <= _ORBIT_TERM_TOL * max(abs(total), 1e-300):
             quiet += 1
             if quiet >= 3:
                 break
@@ -342,13 +340,13 @@ def orbit_derivative(v: RadialProfile, alpha: float, params: ProblemParams,
                 and abs(terms[-1]) > 1e3 * max(abs(total), 1e-300):
             saturated = True
             break
-    if j >= j_max and quiet < 3:
+    if j >= _ORBIT_J_MAX and quiet < 3:
         saturated = True
 
     # J(orbit(tau)) at tau = 1 +- h and 1 +- h/2, each profile scaled onto
     # the unit sphere: one pass for the four weight norms, one for the four J
     at_alpha = replace(params, alpha=alpha)
-    steps = (fd_step, fd_step / 2.0)
+    steps = (_ORBIT_FD_STEP, _ORBIT_FD_STEP / 2.0)
     moved = [_orbit_profile(v, 1.0 + sign * h) for h in steps for sign in (1, -1)]
     weights = weighted_lp_pow_batch(moved, params.dim, params.gamma, at_alpha,
                                     rel_tol=1e-12)

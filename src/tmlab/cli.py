@@ -32,9 +32,6 @@ class ConfigError(Exception):
     """Structural problem with the config document or flags."""
 
 
-_COMMANDS = ("eval", "optimize", "moser", "relation", "asymptotic", "orbit",
-             "transform-check")
-
 _ALLOWED_KEYS = {
     "dim", "alpha", "alpha_ratio", "beta", "gamma", "optimizer", "seed",
     "jobs", "output", "format", "mode", "profile", "moser_index", "n_min",
@@ -58,20 +55,9 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve(args: argparse.Namespace) -> dict:
     cfg = _load_config_file(args.config) if args.config else {}
-    overrides = {
-        "dim": args.dim, "alpha": args.alpha, "alpha_ratio": args.alpha_ratio,
-        "beta": args.beta, "gamma": args.gamma, "seed": args.seed,
-        "jobs": args.jobs, "output": args.output, "format": args.format,
-        "mode": getattr(args, "mode", None),
-        "profile": getattr(args, "profile", None),
-        "moser_index": getattr(args, "moser_index", None),
-        "n_min": getattr(args, "n_min", None),
-        "n_max": getattr(args, "n_max", None),
-        "alpha_ratios": getattr(args, "alpha_ratios", None),
-        "alpha_count": getattr(args, "alpha_count", None),
-        "count": getattr(args, "count", None),
-    }
-    for key, val in overrides.items():
+    # each flag overrides the config key of the same name (optimizer has no flag)
+    for key in sorted(_ALLOWED_KEYS):
+        val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     cfg.setdefault("seed", 0)
@@ -79,6 +65,8 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg.setdefault("jobs", int(os.environ.get("TMLAB_JOBS", "1")))
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
+    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     return cfg
 
 
@@ -146,7 +134,7 @@ def _load_profile(cfg: dict, params: ProblemParams) -> RadialProfile:
             return RadialProfile.from_json(text)
         except (ValidationError, json.JSONDecodeError, TypeError) as exc:
             raise ConfigError(f"malformed profile {path}: {exc}") from exc
-    if cfg.get("moser_index"):
+    if cfg.get("moser_index") is not None:
         return moser.normalized(int(cfg["moser_index"]), params).profile
     raise ConfigError("one of profile / moser_index is required")
 
@@ -204,10 +192,14 @@ def cmd_moser(cfg: dict) -> int:
 
 def _alpha_grid(cfg: dict, params: ProblemParams, default_ratios) -> list:
     crit = critical_alpha_beta(params)
-    if cfg.get("alpha_ratios"):
+    if cfg.get("alpha_ratios") is not None:
         ratios = [float(r) for r in cfg["alpha_ratios"]]
-    elif cfg.get("alpha_count"):
+        if not ratios:
+            raise ConfigError("alpha_ratios must not be empty")
+    elif cfg.get("alpha_count") is not None:
         count = int(cfg["alpha_count"])
+        if count < 1:
+            raise ConfigError("alpha_count must be >= 1")
         ratios = list(np.linspace(0.1, 0.95, count))
     else:
         ratios = list(default_ratios)
@@ -247,7 +239,7 @@ def cmd_orbit(cfg: dict) -> int:
         raise DegenerateInputError("cannot run the orbit on the zero profile")
     profile = profile.scaled(rep.full_pow ** (-1.0 / params.dim))
     report = analysis.orbit_derivative(profile, params.alpha, params)
-    _emit_json({"orbit": json.loads(report.to_json())}, cfg)
+    _emit_json({"orbit": report.to_dict()}, cfg)
     return 0
 
 
@@ -267,7 +259,7 @@ def cmd_transform_check(cfg: dict) -> int:
     vs = [transform.push_profile(u, spec) for u in us]
     w_us = weighted_lp_pow_batch(us, n, params.gamma, params)
     w_vs = weighted_lp_pow_batch(vs, n, 0.0, params)
-    resids = transform.verify_integral_identity_batch(us, params)
+    resids = transform.verify_integral_identity_batch(us, vs, params)
     for i, (u, v, w_u, w_v, resid) in enumerate(zip(us, vs, w_us, w_vs, resids)):
         g_u, g_v = grad_norm_pow(u, params), grad_norm_pow(v, params)
         grad_err = abs(g_u - g_v) / max(g_u, 1e-300)
@@ -301,7 +293,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"tmlab {__version__}")
     sub = parser.add_subparsers(dest="command")
-    for name in _COMMANDS:
+    for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config document")
         p.add_argument("--dim", type=int)

@@ -93,16 +93,6 @@ class ProblemParams:
         return sphere_area(self.dim)
 
     @property
-    def critical(self) -> float:
-        """The critical coefficient for this (dim, beta)."""
-        return critical_alpha_beta(self)
-
-    @property
-    def critical_ratio(self) -> float:
-        """alpha divided by the critical coefficient."""
-        return self.alpha / self.critical
-
-    @property
     def exponent(self) -> float:
         """The power N/(N-1) applied to |u| inside the truncated exponential."""
         return self.dim / (self.dim - 1.0)

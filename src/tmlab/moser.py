@@ -26,6 +26,9 @@ from .errors import DomainError
 from .profiles import RadialProfile
 from .report import ScanTable
 
+# the validity-threshold searches give up beyond this index
+_THRESHOLD_CAP = 100000
+
 
 @dataclass(frozen=True)
 class MoserElement:
@@ -105,12 +108,8 @@ def weight_norm_limit(params: ProblemParams) -> float:
 
 
 def _lam_from_weight(w: float, params: ProblemParams) -> float:
+    """Normalization lambda_n with lambda^N (1 + w) = 1, w the weight norm power."""
     return (1.0 + w) ** (-1.0 / params.dim)
-
-
-def lam(n: int, params: ProblemParams) -> float:
-    """Normalization lambda_n with lambda^N (1 + weight_norm) = 1."""
-    return _lam_from_weight(weight_norm_closed_form(n, params), params)
 
 
 def normalized(n: int, params: ProblemParams) -> MoserElement:
@@ -151,10 +150,10 @@ def select_index(alpha: float, crit: float) -> int:
     return math.ceil(1.0 / (1.0 - ratio))
 
 
-def half_exponential_threshold(params: ProblemParams, n_cap: int = 100000) -> int:
+def half_exponential_threshold(params: ProblemParams) -> int:
     """Smallest n with Phi_N((alpha/crit) n) >= e^((alpha/crit) n) / 2."""
     ratio = params.alpha / critical_alpha_beta(params)
-    for n in range(1, n_cap + 1):
+    for n in range(1, _THRESHOLD_CAP + 1):
         x = ratio * n
         if x < 690.0:
             if phi(params.dim, x) >= 0.5 * math.exp(x):
@@ -164,10 +163,10 @@ def half_exponential_threshold(params: ProblemParams, n_cap: int = 100000) -> in
     raise DomainError("no half-exponential threshold found below the cap")
 
 
-def weight_decay_threshold(params: ProblemParams, n_cap: int = 100000) -> int:
+def weight_decay_threshold(params: ProblemParams) -> int:
     """Smallest n with n * weight_norm <= twice its large-n limit."""
     bound = 2.0 * weight_norm_limit(params)
-    for n in range(1, n_cap + 1):
+    for n in range(1, _THRESHOLD_CAP + 1):
         if n * weight_norm_closed_form(n, params) <= bound:
             return n
     raise DomainError("no weight-decay threshold found below the cap")

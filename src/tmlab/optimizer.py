@@ -20,7 +20,6 @@ deterministic under a fixed config and seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -30,14 +29,16 @@ from . import moser
 from .core import ProblemParams, critical_alpha_beta
 from .errors import SupercriticalError, ValidationError
 from .profiles import (RadialProfile, at_normalize, dilate, dilated_norms,
-                       functional, functional_gradient,
-                       functional_gradient_quantity, functional_quantity,
-                       grad_norm_pow, grad_norm_pow_gradient,
-                       integrate_quantities, norms, norms_gradient,
+                       functional, functional_gradient_quantity,
+                       functional_quantity, grad_norm_pow,
+                       grad_norm_pow_gradient, integrate_batch, norms,
                        weight_gradient_quantity, weight_quantity,
-                       weighted_lp_pow, weighted_lp_pow_cuts)
+                       weighted_lp_pow_cuts)
 
 _CRIT_SLACK = 1e-12
+# the dilation polish's golden-section bracket in log(lam) and its stop width
+_POLISH_SPAN = 2.0
+_POLISH_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,8 @@ class OptimizerConfig:
             raise ValidationError("stop tolerance must be below the initial step")
         if self.random_starts < 0:
             raise ValidationError("random_starts must be >= 0")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
     @classmethod
     def from_dict(cls, data: dict) -> "OptimizerConfig":
@@ -113,9 +116,6 @@ class MaximizationResult:
             "diagnostics": {k: float(v) for k, v in
                             sorted(self.diagnostics.items())},
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _grid(config: OptimizerConfig) -> np.ndarray:
@@ -178,17 +178,17 @@ def _objective_b(values, radii, params, quad_tol):
     """
     n = params.dim
     prof = RadialProfile(radii, values)
-    w_pow, d_weight = integrate_quantities(
-        prof, [weight_quantity(n, params.gamma, params),
-               weight_gradient_quantity(params)], quad_tol)
+    w_pow, d_weight = integrate_batch(
+        [prof], [weight_quantity(n, params.gamma, params),
+                 weight_gradient_quantity(params)], quad_tol)[0]
     full_pow = grad_norm_pow(prof, params) + w_pow
     if full_pow <= 0.0:
         return 0.0, np.zeros_like(values)
     scale = full_pow ** (-1.0 / n)
     scaled = prof.scaled(scale)
-    j, g = integrate_quantities(
-        scaled, [functional_quantity(params),
-                 functional_gradient_quantity(params)], quad_tol)
+    j, g = integrate_batch(
+        [scaled], [functional_quantity(params),
+                   functional_gradient_quantity(params)], quad_tol)[0]
     grad = scale * g - (float(g @ values) / n) * (scale / full_pow) \
         * (grad_norm_pow_gradient(prof, params) + d_weight)
     return j.value, grad
@@ -210,11 +210,11 @@ def _objective_a(values, radii, params, quad_tol):
         return 0.0, np.zeros_like(values)
     c = g_pow ** (-1.0 / n)
     v = prof.scaled(c)
-    w_pow, d_weight_v, j_log, g_j = integrate_quantities(
-        v, [weight_quantity(n, params.gamma, params),
-            weight_gradient_quantity(params),
-            functional_quantity(params),
-            functional_gradient_quantity(params)], quad_tol)
+    w_pow, d_weight_v, j_log, g_j = integrate_batch(
+        [v], [weight_quantity(n, params.gamma, params),
+              weight_gradient_quantity(params),
+              functional_quantity(params),
+              functional_gradient_quantity(params)], quad_tol)[0]
     if w_pow <= 0.0:
         return 0.0, np.zeros_like(values)
     j = j_log.value
@@ -290,7 +290,7 @@ def _lbfgs_ascend(objective, values, config):
     return u, value, trace, converged
 
 
-def _dilation_polish(profile, params, value, quad_tol, span=2.0, tol=1e-7):
+def _dilation_polish(profile, params, value, quad_tol):
     """Golden-section ascent of J over the renormalized dilation family.
 
     Dilation moves radii, a direction the fixed value grid cannot take, so an
@@ -308,13 +308,13 @@ def _dilation_polish(profile, params, value, quad_tol, span=2.0, tol=1e-7):
         moved = dilate(profile, lam).scaled(full ** (-1.0 / n))
         return functional(moved, params, rel_tol=quad_tol), moved
 
-    a, b = -span, span
+    a, b = -_POLISH_SPAN, _POLISH_SPAN
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
     f1, p1 = value_at(x1)
     f2, p2 = value_at(x2)
     best_val, best_prof = max((f1, p1), (f2, p2), key=lambda t: t[0])
-    while b - a > tol:
+    while b - a > _POLISH_TOL:
         if f1 < f2:
             a, x1, f1, p1 = x1, x2, f2, p2
             x2 = a + invphi * (b - a)
@@ -437,43 +437,3 @@ def maximize_A(params: ProblemParams, config: OptimizerConfig | None = None,
             f"coefficient {crit}: the ratio supremum is infinite there; see "
             "moser.plateau_lower_bound for the diverging lower bound")
     return _best_over_starts(params, config, "A", extra_starts, pool)
-
-
-def gradient_check(params: ProblemParams, profile: RadialProfile,
-                   rel_step: float = 1e-6) -> float:
-    """Worst relative error of the analytic gradients against central differences.
-
-    Differences every interior node (the last is pinned by the representation)
-    of the functional and both norm powers, evaluating the oracle at quadrature
-    tolerance 1e-13.  Per-component relative errors are floored at 1e-3 of each
-    gradient's largest component: entries far below that scale sit beneath the
-    finite-difference noise floor.
-    """
-    tight = 1e-13
-    d_grad, d_weight = norms_gradient(profile, params, rel_tol=tight)
-    targets = [
-        (functional_gradient(profile, params, rel_tol=tight),
-         lambda p: functional(p, params, rel_tol=tight)),
-        (d_grad, lambda p: grad_norm_pow(p, params)),
-        (d_weight, lambda p: weighted_lp_pow(p, params.dim, params.gamma,
-                                             params, rel_tol=tight)),
-    ]
-    worst = 0.0
-    base = profile.values
-    for analytic, fn in targets:
-        fd = np.full(base.size, np.nan)
-        for i in range(base.size - 1):
-            h = rel_step * max(abs(base[i]), 1.0)
-            up, dn = base.copy(), base.copy()
-            up[i] += h
-            dn[i] = max(dn[i] - h, 0.0)
-            fd[i] = (fn(profile.with_values(up)) - fn(profile.with_values(dn))) \
-                / (up[i] - dn[i])
-        mask = ~np.isnan(fd)
-        a, f = analytic[mask], fd[mask]
-        scale = max(np.abs(f).max(initial=0.0), np.abs(a).max(initial=0.0))
-        if scale <= 1e-7:
-            continue  # both vanish at this precision: nothing to resolve
-        denom = np.maximum(np.maximum(np.abs(f), np.abs(a)), 1e-3 * scale)
-        worst = max(worst, float((np.abs(a - f) / denom).max(initial=0.0)))
-    return worst

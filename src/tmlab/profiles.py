@@ -34,13 +34,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LogValue, ProblemParams, log_phi, phi, phi_derivative
+from .core import LogValue, ProblemParams, log_phi, phi_derivative
 from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      ValidationError)
 from .quadrature import integrate_segments
 
 # Default relative tolerance for all segment quadrature.
 TOL_QUAD = 1e-10
+# The span [t_lo, t_hi] in t = log r of random_profile's grid.
+_RANDOM_T_SPAN = (-7.0, 4.5)
 
 
 @dataclass(frozen=True)
@@ -221,17 +223,11 @@ def integrate_batch(profiles, quantities, rel_tol: float = TOL_QUAD) -> list:
             for b, (lo, hi) in enumerate(zip(live.bounds[:-1], live.bounds[1:]))]
 
 
-def integrate_quantities(profile: RadialProfile, quantities,
-                         rel_tol: float = TOL_QUAD) -> list:
-    """The results of several quantities on one profile: a batch of one."""
-    return integrate_batch([profile], quantities, rel_tol)[0]
-
-
 def _hat_gradient(params: ProblemParams, base, plateau) -> Quantity:
     """Node gradient of omega * int base(t, u) dt, plus plateau(profile) at node 0.
 
     Each segment's integrals of base times its two interpolation hat weights
-    go to the segment's left and right node.
+    go to the segment's left and right node.  Warns if an integrand overflowed.
     """
     def bind(live):
         dt = live.t1 - live.t0
@@ -249,6 +245,9 @@ def _hat_gradient(params: ProblemParams, base, plateau) -> Quantity:
             np.add.at(out, np.concatenate([idx, idx + 1]),
                       params.sphere_area * vals.ravel())
             out[0] += plateau(profile)
+            if not np.all(np.isfinite(out)):
+                warnings.warn("node gradient saturated: integrand overflowed",
+                              RuntimeWarning)
             return out
 
         return rows, finish
@@ -359,7 +358,7 @@ def functional_quantity(params: ProblemParams) -> Quantity:
 
 
 def functional_gradient_quantity(params: ProblemParams) -> Quantity:
-    """Node gradient of the functional; warns if an integrand overflows.
+    """Node gradient of the functional.
 
     Differentiates the plateau closed form and the segment integrands through
     the chain rule; the interpolation hat weights confine each segment's
@@ -380,21 +379,7 @@ def functional_gradient_quantity(params: ProblemParams) -> Quantity:
                 * alpha * q * u0 ** (q - 1.0)
                 * profile.radii[0] ** c / c)
 
-    hat = _hat_gradient(params, base, plateau)
-
-    def bind(live):
-        rows, hat_finish = hat.bind(live)
-
-        def finish(b, vals):
-            grad = hat_finish(b, vals)
-            if not np.all(np.isfinite(grad)):
-                warnings.warn("functional_gradient saturated: integrand overflowed",
-                              RuntimeWarning)
-            return grad
-
-        return rows, finish
-
-    return hat._replace(bind=bind)
+    return _hat_gradient(params, base, plateau)
 
 
 def grad_norm_pow(profile: RadialProfile, params: ProblemParams) -> float:
@@ -497,14 +482,14 @@ def functional_gradient(profile: RadialProfile, params: ProblemParams,
                         rel_tol: float = TOL_QUAD) -> np.ndarray:
     """Partial derivatives of the functional with respect to the node values."""
     quantity = functional_gradient_quantity(params)
-    return integrate_quantities(profile, [quantity], rel_tol)[0]
+    return integrate_batch([profile], [quantity], rel_tol)[0][0]
 
 
 def norms_gradient(profile: RadialProfile, params: ProblemParams,
                    rel_tol: float = TOL_QUAD):
     """Gradients of grad_pow and weight_pow with respect to node values."""
     quantity = weight_gradient_quantity(params)
-    d_weight = integrate_quantities(profile, [quantity], rel_tol)[0]
+    d_weight = integrate_batch([profile], [quantity], rel_tol)[0][0]
     return grad_norm_pow_gradient(profile, params), d_weight
 
 
@@ -538,14 +523,14 @@ def at_normalize(profile: RadialProfile, params: ProblemParams,
 
 
 def random_profile(rng: np.random.Generator, n_nodes: int = 10,
-                   t_lo: float = -7.0, t_hi: float = 4.5,
                    vmax: float = 2.0) -> RadialProfile:
     """Seeded random profile: strictly increasing log grid, zero tail.
 
     The n_nodes - 1 gaps in t = log r are uniform on [0.15, 1.2], stretched
-    to span [t_lo, t_hi]; the node values are uniform on [0, vmax] and the
-    last is set to 0.
+    to span [t_lo, t_hi] = _RANDOM_T_SPAN; the node values are uniform on
+    [0, vmax] and the last is set to 0.
     """
+    t_lo, t_hi = _RANDOM_T_SPAN
     gaps = rng.uniform(0.15, 1.2, size=n_nodes - 1)
     t = t_lo + (t_hi - t_lo) * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
     values = rng.uniform(0.0, vmax, size=n_nodes)

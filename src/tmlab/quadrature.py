@@ -2,8 +2,8 @@
 
 The radial integrals are sums over profile segments of smooth integrands in the
 log-radius variable, so the natural unit of work is "integrate f over m
-intervals simultaneously".  Interval i starts as c_i = ceil(width / init_width)
-equal panels (at most ``max_init_panels``), laid out for all intervals at once
+intervals simultaneously".  Interval i starts as c_i = ceil(width / _INIT_WIDTH)
+equal panels (at most ``_MAX_INIT_PANELS``), laid out for all intervals at once
 with np.linspace's arithmetic.  Every round evaluates all new panels in one
 vectorized call, sums the panels of each interval with one bincount, compares
 the embedded 7-point Gauss estimate against the 15-point Kronrod estimate, and
@@ -14,7 +14,7 @@ panels are, depends on its own tolerance and panels alone, and its panels
 are summed in their own order.  So an interval's integral is the same bit
 for bit whether it is integrated alone or among any other intervals, which
 lets callers batch unrelated integrals into one call.
-Subdivision is capped at ``max_panels`` panels per interval, which sets the
+Subdivision is capped at ``_MAX_PANELS`` panels per interval, which sets the
 ``converged`` flag False and warns once instead of raising.
 """
 
@@ -49,6 +49,9 @@ _W_KRONROD = _GK15[:, 2]
 
 _ABS_FLOOR = 1e-300
 _MAX_ROUNDS = 64
+_MAX_PANELS = 4096
+_INIT_WIDTH = 2.0
+_MAX_INIT_PANELS = 64
 
 
 def _eval_panels(f, seg, left, right):
@@ -70,8 +73,7 @@ def _eval_panels(f, seg, left, right):
     return i_kron, np.abs(i_kron - i_gauss)
 
 
-def integrate_segments(f, lefts, rights, rel_tol=1e-10, max_panels=4096,
-                       init_width=2.0, max_init_panels=64):
+def integrate_segments(f, lefts, rights, rel_tol=1e-10):
     """Integrate a (possibly multi-component) integrand over m intervals.
 
     f          -- callable f(t, seg_idx) -> (k, n) array; t is a flat array of
@@ -79,7 +81,6 @@ def integrate_segments(f, lefts, rights, rel_tol=1e-10, max_panels=4096,
     lefts      -- (m,) left endpoints
     rights     -- (m,) right endpoints, strictly greater than lefts
     rel_tol    -- per-interval, per-component relative error target
-    max_panels -- panel cap per interval; hitting it clears ``converged``
 
     Returns (integrals (k, m), error_estimates (k, m), converged (m,) bool).
     """
@@ -91,8 +92,8 @@ def integrate_segments(f, lefts, rights, rel_tol=1e-10, max_panels=4096,
     if np.any(rights <= lefts):
         raise ValueError("every interval needs right > left")
 
-    counts = np.clip(np.ceil((rights - lefts) / init_width).astype(int),
-                     1, max_init_panels)
+    counts = np.clip(np.ceil((rights - lefts) / _INIT_WIDTH).astype(int),
+                     1, _MAX_INIT_PANELS)
     seg = np.repeat(np.arange(m), counts)
     # panel j of interval i spans [j*h_i + l_i, (j+1)*h_i + l_i], h_i = width/c_i,
     # and the last right edge is r_i itself: np.linspace's own arithmetic
@@ -119,7 +120,7 @@ def integrate_segments(f, lefts, rights, rel_tol=1e-10, max_panels=4096,
         tol_seg = rel_tol * np.maximum(a_seg, _ABS_FLOOR)
         bad = np.any(e_seg > tol_seg, axis=0)
         seg_bad = bad & ~capped
-        newly_capped = seg_bad & (n_panels >= max_panels)
+        newly_capped = seg_bad & (n_panels >= _MAX_PANELS)
         capped |= newly_capped
         seg_bad &= ~newly_capped
         if not np.any(seg_bad) or rnd == _MAX_ROUNDS:
@@ -143,14 +144,6 @@ def integrate_segments(f, lefts, rights, rel_tol=1e-10, max_panels=4096,
 
     if np.any(bad):
         warnings.warn(
-            f"quadrature hit the {max_panels}-panel cap on "
+            f"quadrature hit the {_MAX_PANELS}-panel cap on "
             f"{int(np.sum(bad))} interval(s)", RuntimeWarning)
     return i_seg, e_seg, ~bad
-
-
-def integrate(f, a, b, rel_tol=1e-10, max_panels=4096):
-    """Single-interval convenience wrapper; f(t) -> (n,) values."""
-    vals, errs, conv = integrate_segments(
-        lambda t, seg: np.asarray(f(t), dtype=float),
-        np.array([a]), np.array([b]), rel_tol=rel_tol, max_panels=max_panels)
-    return float(vals[0, 0]), float(errs[0, 0]), bool(conv[0])

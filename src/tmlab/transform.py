@@ -133,17 +133,16 @@ def verify_integral_identity(u: RadialProfile, params: ProblemParams,
     (alpha, beta) on the unweighted side.  Both sides are integrated
     independently; the residual is |1 - rhs/lhs| computed in log scale.
     """
-    return verify_integral_identity_batch([u], params, rel_tol)[0]
+    v = push_profile(u, TransformSpec.from_params(params))
+    return verify_integral_identity_batch([u], [v], params, rel_tol)[0]
 
 
-def verify_integral_identity_batch(us, params: ProblemParams,
+def verify_integral_identity_batch(us, vs, params: ProblemParams,
                                    rel_tol: float = 1e-10) -> list:
-    """verify_integral_identity of each profile, bit for bit, in two passes."""
-    spec = TransformSpec.from_params(params)
+    """verify_integral_identity of each u in us, vs their pushes, bit for bit."""
     factor = integral_identity_factor(params)
     lhs = functional_log_batch(us, params, rel_tol)
-    rhs = functional_log_batch([push_profile(u, spec) for u in us],
-                               transformed_params(params), rel_tol)
+    rhs = functional_log_batch(vs, transformed_params(params), rel_tol)
     residuals = []
     for left, right in zip(lhs, rhs):
         rhs_log = factor + right.log

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from tmlab import ProblemParams
+from tmlab import (ProblemParams, functional, functional_gradient,
+                   grad_norm_pow, norms_gradient, weighted_lp_pow)
 from tmlab.profiles import random_profile  # noqa: F401  (the tests import it from here)
 
 # Parameter matrix used throughout: (dim, beta, gamma).
@@ -112,6 +113,34 @@ def gradient_rel_error(analytic, fd):
     scale = max(np.abs(f).max(initial=0.0), np.abs(a).max(initial=0.0), 1e-300)
     denom = np.maximum(np.maximum(np.abs(f), np.abs(a)), 1e-3 * scale)
     return float((np.abs(a - f) / denom).max(initial=0.0))
+
+
+def worst_gradient_error(params, profile):
+    """Worst gradient_rel_error of the three analytic node gradients.
+
+    The gradients of the functional and of both norm powers are compared with
+    finite_difference_gradient of the values, integrated at quadrature
+    tolerance 1e-13.  A gradient whose analytic and difference forms both stay
+    at or below 1e-7 is skipped: at that precision there is nothing to resolve.
+    """
+    tol = 1e-13
+    d_grad, d_weight = norms_gradient(profile, params, rel_tol=tol)
+    targets = [
+        (functional_gradient(profile, params, rel_tol=tol),
+         lambda p: functional(p, params, rel_tol=tol)),
+        (d_grad, lambda p: grad_norm_pow(p, params)),
+        (d_weight, lambda p: weighted_lp_pow(p, params.dim, params.gamma,
+                                             params, rel_tol=tol)),
+    ]
+    worst = 0.0
+    for analytic, fn in targets:
+        fd = finite_difference_gradient(fn, profile)
+        mask = ~np.isnan(fd)
+        if max(np.abs(fd[mask]).max(initial=0.0),
+               np.abs(analytic[mask]).max(initial=0.0)) <= 1e-7:
+            continue
+        worst = max(worst, gradient_rel_error(analytic, fd))
+    return worst
 
 
 def assert_rel_close(a, b, tol, msg=""):

@@ -269,6 +269,38 @@ class TestConfigHandling:
         rc = run(["moser", "--dim", "2", "--beta", "0", "--gamma", "0"])
         assert rc == 2
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        cell = ["--dim", "2", "--alpha-ratio", "0.5", "--beta", "0",
+                "--gamma", "0", "--seed", "-1"]
+        assert run(["transform-check", *cell, "--count", "2"]) == 2
+        assert run(["optimize", "--mode", "A", *cell]) == 2
+        assert capsys.readouterr().err.count("seed must be an integer >= 0") == 2
+        # the optimizer's own seed key is checked too
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"optimizer": {"seed": -1}}))
+        assert run(["optimize", "--mode", "A", "--config", str(cfgfile),
+                    *cell[:-2]]) == 3
+        assert "seed must be >= 0" in capsys.readouterr().err
+
+    def test_empty_alpha_grid_exit_2(self, tmp_path, capsys):
+        cell = ["--dim", "2", "--alpha-ratio", "0.5", "--beta", "0",
+                "--gamma", "0"]
+        assert run(["relation", *cell, "--alpha-count", "0"]) == 2
+        assert run(["asymptotic", *cell, "--alpha-count", "0"]) == 2
+        assert capsys.readouterr().err.count("alpha_count must be >= 1") == 2
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"alpha_ratios": []}))
+        assert run(["asymptotic", "--config", str(cfgfile), *cell]) == 2
+        assert "alpha_ratios must not be empty" in capsys.readouterr().err
+
+    def test_moser_index_zero_exit_3(self, capsys):
+        cell = ["--dim", "2", "--alpha-ratio", "0.5", "--beta", "0",
+                "--gamma", "0"]
+        for index in ("0", "-3"):
+            assert run(["eval", *cell, "--moser-index", index]) == 3
+            assert (f"index must be a positive integer, got {index}"
+                    in capsys.readouterr().err)
+
     def test_jobs_flag_does_not_change_output(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"optimizer": LIGHT_OPT}))

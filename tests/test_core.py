@@ -57,8 +57,8 @@ class TestProblemParams:
     def test_derived(self):
         p = ProblemParams(3, 2.0, 1.0, 0.5)
         assert_rel_close(p.exponent, 1.5, 1e-15)
-        assert_rel_close(p.critical, critical_alpha_beta(p), 1e-15)
-        assert_rel_close(p.critical_ratio, 2.0 / p.critical, 1e-15)
+        assert_rel_close(critical_alpha_beta(p), (2.0 / 3.0) * critical_alpha(3),
+                         1e-15)
 
 
 class TestPhi:

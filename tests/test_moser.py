@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from tmlab import (critical_alpha_beta, functional, functional_log,
                    grad_norm_pow, norms, weighted_lp_pow)
 from tmlab.errors import DomainError
-from tmlab.moser import (asymptotic_lower_scan, build, lam, normalized,
+from tmlab.moser import (asymptotic_lower_scan, build, normalized,
                          plateau_lower_bound, select_index,
                          weight_norm_closed_form, weight_norm_limit)
 
@@ -101,14 +101,15 @@ class TestNormalized:
         # the weight norm peaks near n ~ 2 before its 1/n decay, so lambda is
         # monotone only beyond the hump; it always stays in (0, 1) and tends to 1
         params = make_params(cell)
-        lams = [lam(n, params) for n in range(1, 201)]
+        lams = [build(n, params).lam for n in range(1, 201)]
         assert all(0.0 < v < 1.0 for v in lams)
         assert np.all(np.diff(lams[4:]) > 0)
         assert lams[-1] > 1.0 - 2.0 * weight_norm_limit(params) / (params.dim * 200)
 
     def test_one_minus_lambda_pow_scales_like_inverse_n(self, cell):
         params = make_params(cell)
-        vals = [n * (1.0 - lam(n, params) ** params.dim) for n in range(50, 201, 25)]
+        vals = [n * (1.0 - build(n, params).lam ** params.dim)
+                for n in range(50, 201, 25)]
         assert max(vals) < 3 * weight_norm_limit(params) + 1.0
         assert min(vals) > 0.0
 
@@ -117,7 +118,7 @@ class TestPlateauLowerBound:
     def test_closed_form_instance(self):
         # alpha = crit/2, n = 10, N = 2, beta = 0
         params = make_params((2, 0.0, 0.0), alpha_ratio=0.5)
-        lam10 = lam(10, params)
+        lam10 = build(10, params).lam
         expected = (2 * math.pi / 2.0) * math.exp(-10) \
             * (math.exp(5.0 * lam10 ** 2) - 1.0)
         assert_rel_close(plateau_lower_bound(10, params).value, expected, 1e-12)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from tmlab import (ProblemParams, RadialProfile, at_normalize, functional,
                    grad_norm_pow, norms, weighted_lp_pow)
 from tmlab.errors import SupercriticalError, ValidationError
 from tmlab.moser import normalized
-from tmlab.optimizer import (OptimizerConfig, gradient_check, maximize_A,
-                             maximize_B, starting_profiles)
+from tmlab.optimizer import (OptimizerConfig, maximize_A, maximize_B,
+                             starting_profiles)
 
-from conftest import assert_rel_close, make_params, random_profile
+from conftest import (assert_rel_close, make_params, random_profile,
+                      worst_gradient_error)
 
 # single-start config keeps the module tests quick; quality is acceptance's job
 LIGHT = OptimizerConfig(moser_starts=(5,), random_starts=0, max_iters=120,
@@ -114,9 +116,25 @@ class TestDeterminism:
         params = make_params((2, 1.0, 0.5), alpha_ratio=0.6)
         cfg = OptimizerConfig(moser_starts=(2,), random_starts=1, max_iters=25,
                               polish_rounds=1, node_count=65)
-        a = maximize_A(params, cfg).to_json()
-        b = maximize_A(params, cfg).to_json()
+        a = json.dumps(maximize_A(params, cfg).to_dict(), sort_keys=True)
+        b = json.dumps(maximize_A(params, cfg).to_dict(), sort_keys=True)
         assert a == b
+
+
+@pytest.mark.slow
+class TestDefaultConfigValues:
+    # the maximizer values of the default config at N=2, beta=gamma=0; no leg
+    # converges, so they follow each leg's exact path and any change to the
+    # arithmetic on that path shows here
+    def test_mode_a_at_half_critical(self):
+        res = maximize_A(make_params((2, 0.0, 0.0), alpha_ratio=0.5))
+        assert_rel_close(res.value, 13.440245794815574, 1e-9, "sup A")
+        assert res.start_id == "bump"
+
+    def test_mode_b_at_critical(self):
+        res = maximize_B(make_params((2, 0.0, 0.0), alpha_ratio=1.0))
+        assert_rel_close(res.value, 14.270242389574085, 1e-9, "sup B")
+        assert res.start_id == "moser-5"
 
 
 class TestRatioInvariance:
@@ -163,12 +181,12 @@ class TestGradientCheck:
         rng = np.random.default_rng(73)
         for _ in range(3):
             p = random_profile(rng, n_nodes=8)
-            assert gradient_check(params, p) < 1e-5
+            assert worst_gradient_error(params, p) < 1e-5
 
     def test_zero_profile(self):
         params = make_params((3, 1.0, 0.5))
         z = RadialProfile([1.0, 2.0], [0.0, 0.0])
-        assert gradient_check(params, z) == 0.0
+        assert worst_gradient_error(params, z) == 0.0
 
 
 class TestCompositeObjectives:
@@ -218,10 +236,8 @@ class TestCompositeObjectives:
 
 class TestResultSerialization:
     def test_json_roundtrip_fields(self, b_result_2d):
-        import json
-
         _, res = b_result_2d
-        data = json.loads(res.to_json())
+        data = json.loads(json.dumps(res.to_dict()))
         assert set(data) == {"profile", "value", "constraint_residuals", "trace",
                              "start_id", "converged", "diagnostics"}
         assert data["value"] == res.value

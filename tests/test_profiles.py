@@ -1,4 +1,3 @@
-import json
 import math
 import warnings
 
@@ -14,9 +13,9 @@ from tmlab.optimizer import OptimizerConfig, starting_profiles
 from tmlab.moser import normalized
 from tmlab.profiles import (dilated_norms, functional_gradient_quantity,
                             functional_log_batch, functional_quantity,
-                            integrate_quantities,
-                            weight_gradient_quantity, weight_quantity,
-                            weighted_lp_pow_batch, weighted_lp_pow_cuts)
+                            integrate_batch, weight_gradient_quantity,
+                            weight_quantity, weighted_lp_pow_batch,
+                            weighted_lp_pow_cuts)
 from tmlab.errors import (DegenerateInputError, DivergentWeightError,
                           DomainError, ValidationError)
 
@@ -43,7 +42,7 @@ def _singles(p, params):
 
 
 def _counted(monkeypatch, profile, quantities):
-    """(integrand rounds, results) of one integrate_quantities call."""
+    """(integrand rounds, results) of one integrate_batch call on one profile."""
     rounds = []
     inner = profiles.integrate_segments
 
@@ -52,7 +51,7 @@ def _counted(monkeypatch, profile, quantities):
 
     with monkeypatch.context() as m:
         m.setattr(profiles, "integrate_segments", counting)
-        results = integrate_quantities(profile, quantities)
+        results = integrate_batch([profile], quantities)[0]
     return len(rounds), results
 
 
@@ -177,8 +176,8 @@ class TestWeightedLpPow:
         q = RadialProfile([0.5, 3.0], [2.0, 0.0])
         for call, capped in (
                 (lambda: weighted_lp_pow(p, 2.0, 0.0, params, rel_tol=1e-30), 2),
-                (lambda: integrate_quantities(p, _all_quantities(params),
-                                              rel_tol=1e-30), 2),
+                (lambda: integrate_batch([p], _all_quantities(params),
+                                         rel_tol=1e-30), 2),
                 # a batch of several capped profiles still warns once
                 (lambda: weighted_lp_pow_batch([p, ZERO, q, p], 2.0, 0.0, params,
                                                rel_tol=1e-30), 5)):
@@ -451,7 +450,7 @@ class TestFusedPass:
 
     def test_zero_profile(self):
         params = make_params((3, 1.0, 0.5))
-        w, dw, j, dj = integrate_quantities(ZERO, _all_quantities(params))
+        w, dw, j, dj = integrate_batch([ZERO], _all_quantities(params))[0]
         assert w == 0.0 and j.log == -math.inf
         assert not dw.any() and not dj.any()
 

@@ -4,26 +4,28 @@ import warnings
 import numpy as np
 import pytest
 
-from tmlab.quadrature import _NODES, integrate, integrate_segments
+from tmlab import quadrature
+from tmlab.quadrature import _NODES, integrate_segments
 
 
 def test_polynomial_exact():
-    val, err, conv = integrate(lambda t: t ** 3 - 2 * t, 0.0, 2.0)
-    assert conv
-    assert val == pytest.approx(4.0 - 4.0, abs=1e-13)
+    vals, _, conv = integrate_segments(lambda t, seg: t ** 3 - 2 * t, [0.0], [2.0])
+    assert conv.all()
+    assert vals[0, 0] == pytest.approx(4.0 - 4.0, abs=1e-13)
 
 
 def test_exponential():
-    val, _, conv = integrate(np.exp, -1.0, 3.0)
-    assert conv
-    assert val == pytest.approx(math.exp(3) - math.exp(-1), rel=1e-12)
+    vals, _, conv = integrate_segments(lambda t, seg: np.exp(t), [-1.0], [3.0])
+    assert conv.all()
+    assert vals[0, 0] == pytest.approx(math.exp(3) - math.exp(-1), rel=1e-12)
 
 
 def test_long_decaying_interval():
     # mass concentrated near the right endpoint of a 200-unit interval
-    val, _, conv = integrate(lambda t: np.exp(2.0 * t), -200.0, 0.0, rel_tol=1e-11)
-    assert conv
-    assert val == pytest.approx(0.5, rel=1e-10)
+    vals, _, conv = integrate_segments(lambda t, seg: np.exp(2.0 * t), [-200.0],
+                                       [0.0], rel_tol=1e-11)
+    assert conv.all()
+    assert vals[0, 0] == pytest.approx(0.5, rel=1e-10)
 
 
 def test_batched_segments_match_singles():
@@ -48,23 +50,23 @@ def test_zero_integrand_converges_immediately():
     assert vals[0, 0] == 0.0
 
 
-def test_cap_flags_nonconvergence():
+def test_cap_flags_nonconvergence(monkeypatch):
     # genuinely hard integrand with a near-singular spike and an absurd cap
     def f(t, seg):
         return (1.0 / np.sqrt(np.abs(t) + 1e-14))[None, :]
 
-    with pytest.warns(RuntimeWarning):
-        vals, errs, conv = integrate_segments(f, [-1.0], [1.0],
-                                              rel_tol=1e-14, max_panels=4)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 4)
+    with pytest.warns(RuntimeWarning, match="4-panel cap"):
+        vals, errs, conv = integrate_segments(f, [-1.0], [1.0], rel_tol=1e-14)
     assert not conv.all()
 
 
 def test_mild_endpoint_kink_converges():
     # u^(3/2)-type behavior at an endpoint, as in gradient integrands
-    val, _, conv = integrate(lambda t: np.maximum(t, 0.0) ** 1.5, 0.0, 1.0,
-                             rel_tol=1e-11)
-    assert conv
-    assert val == pytest.approx(0.4, rel=1e-10)
+    vals, _, conv = integrate_segments(lambda t, seg: np.maximum(t, 0.0) ** 1.5,
+                                       [0.0], [1.0], rel_tol=1e-11)
+    assert conv.all()
+    assert vals[0, 0] == pytest.approx(0.4, rel=1e-10)
 
 
 _MIXED_LEFTS = -40.0 + np.cumsum(np.random.default_rng(11).exponential(3.0, 60))
@@ -83,9 +85,9 @@ def _first_call_points(lefts, rights):
 
 
 @pytest.mark.parametrize("lefts, rights", [
-    # every width below init_width: one panel each
+    # every width below _INIT_WIDTH: one panel each
     ([-3.0, 0.25, 1.0], [-2.7, 1.25, 2.999]),
-    # width 200 asks for 100 panels and gets max_init_panels
+    # width 200 asks for 100 panels and gets _MAX_INIT_PANELS
     ([-200.0, 0.0], [0.0, 129.5]),
     # many intervals of mixed width, as on a profile grid in log radius
     (_MIXED_LEFTS, _MIXED_LEFTS + _MIXED_WIDTHS),
@@ -130,9 +132,10 @@ def test_three_components_one_refining():
         assert vals[2, i] == pytest.approx(math.exp(b) - math.exp(a), rel=1e-12)
 
 
-def test_interval_alone_equals_interval_in_batch():
+def test_interval_alone_equals_interval_in_batch(monkeypatch):
     # every interval is refined on its own: its integral, error and flag are
     # the same bit for bit alone and among other intervals, capped or not
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 12)
     rng = np.random.default_rng(29)
     m = 40
     lefts = rng.uniform(-8.0, 2.0, m)
@@ -147,14 +150,14 @@ def test_interval_alone_equals_interval_in_batch():
     with pytest.warns(RuntimeWarning, match="panel cap"):
         vals, errs, conv = integrate_segments(
             lambda t, seg: rows(t, freq[seg], growth[seg]), lefts, rights,
-            rel_tol=1e-13, max_panels=12)
+            rel_tol=1e-13)
     assert conv.any() and not conv.all()
     for i in range(m):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             v, e, c = integrate_segments(
                 lambda t, seg: rows(t, freq[i], growth[i]), lefts[i:i + 1],
-                rights[i:i + 1], rel_tol=1e-13, max_panels=12)
+                rights[i:i + 1], rel_tol=1e-13)
         assert np.array_equal(vals[:, i], v[:, 0])
         assert np.array_equal(errs[:, i], e[:, 0])
         assert conv[i] == c[0]

@@ -9,7 +9,8 @@ from tmlab.errors import DomainError
 from tmlab.transform import (TransformSpec, integral_identity_factor,
                              jacobian_det, pull_profile, push_profile,
                              radius_map, radius_map_inverse,
-                             transformed_params, verify_integral_identity)
+                             transformed_params, verify_integral_identity,
+                             verify_integral_identity_batch)
 
 from conftest import assert_rel_close, make_params, random_profile
 
@@ -158,6 +159,17 @@ class TestIntegralIdentity:
         params = make_params(cell)
         z = RadialProfile([1.0], [0.0])
         assert verify_integral_identity(z, params) == 0.0
+
+    def test_batch_of_pushed_profiles_matches_singles(self, cell):
+        # the batch takes the pushed profiles from its caller; each residual
+        # is the one verify_integral_identity gives alone, bit for bit
+        params = make_params(cell, alpha_ratio=0.5)
+        spec = TransformSpec.from_params(params)
+        rng = np.random.default_rng(31)
+        us = [random_profile(rng) for _ in range(4)] + [RadialProfile([1.0], [0.0])]
+        vs = [push_profile(u, spec) for u in us]
+        assert verify_integral_identity_batch(us, vs, params) \
+            == [verify_integral_identity(u, params) for u in us]
 
     def test_moser_profile_residual(self):
         from tmlab.moser import build
