@@ -53,6 +53,18 @@ def _load_config_file(path: str) -> dict:
     return data
 
 
+_KIND_NAMES = {int: "an integer", float: "a number"}
+
+
+def _convert(key: str, val, kind):
+    """kind(val) for the config value of key; a refusal names the key."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"{key} must be {_KIND_NAMES[kind]}, got {val!r}") from exc
+
+
 def _resolve(args: argparse.Namespace) -> dict:
     cfg = _load_config_file(args.config) if args.config else {}
     # each flag overrides the config key of the same name (optimizer has no flag)
@@ -62,7 +74,8 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = val
     cfg.setdefault("seed", 0)
     cfg.setdefault("format", "csv")
-    cfg.setdefault("jobs", int(os.environ.get("TMLAB_JOBS", "1")))
+    cfg.setdefault("jobs", _convert("TMLAB_JOBS",
+                                    os.environ.get("TMLAB_JOBS", "1"), int))
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
     if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
@@ -77,12 +90,14 @@ def _params_from(cfg: dict) -> ProblemParams:
     dim = cfg["dim"]
     if not isinstance(dim, int):
         raise ConfigError(f"dim must be an integer, got {dim!r}")
-    probe = ProblemParams(dim=dim, alpha=1.0, beta=float(cfg["beta"]),
-                          gamma=float(cfg["gamma"]))
+    probe = ProblemParams(dim=dim, alpha=1.0,
+                          beta=_convert("beta", cfg["beta"], float),
+                          gamma=_convert("gamma", cfg["gamma"], float))
     if "alpha" in cfg and cfg["alpha"] is not None:
-        alpha = float(cfg["alpha"])
+        alpha = _convert("alpha", cfg["alpha"], float)
     elif "alpha_ratio" in cfg and cfg["alpha_ratio"] is not None:
-        alpha = float(cfg["alpha_ratio"]) * critical_alpha_beta(probe)
+        ratio = _convert("alpha_ratio", cfg["alpha_ratio"], float)
+        alpha = ratio * critical_alpha_beta(probe)
     else:
         raise ConfigError("one of alpha / alpha_ratio is required")
     return replace(probe, alpha=alpha)
@@ -135,7 +150,8 @@ def _load_profile(cfg: dict, params: ProblemParams) -> RadialProfile:
         except (ValidationError, json.JSONDecodeError, TypeError) as exc:
             raise ConfigError(f"malformed profile {path}: {exc}") from exc
     if cfg.get("moser_index") is not None:
-        return moser.normalized(int(cfg["moser_index"]), params).profile
+        return moser.normalized(_convert("moser_index", cfg["moser_index"], int),
+                                params).profile
     raise ConfigError("one of profile / moser_index is required")
 
 
@@ -167,8 +183,8 @@ def cmd_optimize(cfg: dict) -> int:
 
 def cmd_moser(cfg: dict) -> int:
     params = _params_from(cfg)
-    n_min = int(cfg.get("n_min", 1))
-    n_max = int(cfg.get("n_max", 50))
+    n_min = _convert("n_min", cfg.get("n_min", 1), int)
+    n_max = _convert("n_max", cfg.get("n_max", 50), int)
     if not 1 <= n_min <= n_max:
         raise ConfigError("need 1 <= n_min <= n_max")
     table = ScanTable(
@@ -193,11 +209,14 @@ def cmd_moser(cfg: dict) -> int:
 def _alpha_grid(cfg: dict, params: ProblemParams, default_ratios) -> list:
     crit = critical_alpha_beta(params)
     if cfg.get("alpha_ratios") is not None:
-        ratios = [float(r) for r in cfg["alpha_ratios"]]
+        given = cfg["alpha_ratios"]
+        if not isinstance(given, list):
+            raise ConfigError(f"alpha_ratios must be a list, got {given!r}")
+        ratios = [_convert("alpha_ratios", r, float) for r in given]
         if not ratios:
             raise ConfigError("alpha_ratios must not be empty")
     elif cfg.get("alpha_count") is not None:
-        count = int(cfg["alpha_count"])
+        count = _convert("alpha_count", cfg["alpha_count"], int)
         if count < 1:
             raise ConfigError("alpha_count must be >= 1")
         ratios = list(np.linspace(0.1, 0.95, count))
@@ -209,8 +228,8 @@ def _alpha_grid(cfg: dict, params: ProblemParams, default_ratios) -> list:
 def cmd_relation(cfg: dict) -> int:
     params = _params_from(cfg)
     grid = _alpha_grid(cfg, params, np.linspace(0.1, 0.95, 16))
-    scan = analysis.relation_scan(params, grid, _optimizer_config(cfg),
-                                  jobs=int(cfg.get("jobs", 1)))
+    jobs = _convert("jobs", cfg.get("jobs", 1), int)
+    scan = analysis.relation_scan(params, grid, _optimizer_config(cfg), jobs=jobs)
     if cfg["format"] == "json":
         _emit_json({
             "rows": [row.__dict__ for row in scan.rows],
@@ -245,10 +264,10 @@ def cmd_orbit(cfg: dict) -> int:
 
 def cmd_transform_check(cfg: dict) -> int:
     params = _params_from(cfg)
-    count = int(cfg.get("count", 20))
+    count = _convert("count", cfg.get("count", 20), int)
     if count < 1:
         raise ConfigError("count must be >= 1")
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(cfg["seed"])  # an int >= 0: _resolve checks it
     spec = transform.TransformSpec.from_params(params)
     table = ScanTable(
         columns=("index", "grad_rel_err", "weight_map_rel_err",

@@ -12,10 +12,17 @@ on the handful of scalar functions defined here:
 
 All functions accept scalars or numpy arrays for ``t`` and are pure, so they can
 be called from any number of workers without synchronization.
+
+phi has no data-dependent loop: for N = 2 it is expm1; for N >= 3 it computes
+expm1(t) minus the Taylor terms j = 1..N-2 in Horner form and the all-positive
+tail series as a Horner polynomial of fixed degree, and np.where picks the tail
+below t = N - 2, where the subtraction would cancel.  Both forms keep the
+relative error within a few ulps.  Scalars run the same code as arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -27,10 +34,12 @@ from .errors import DomainError, InvalidDimensionError
 # Largest x with exp(x) representable as a double.
 LOG_MAX = math.log(sys.float_info.max)
 
-# Below this threshold phi is summed from its all-positive tail series; above it,
-# exp(t) minus the Taylor polynomial is accurate (the subtraction loses at most a
-# couple of digits once t >= 1).
-_SERIES_CUTOFF = 1.0
+# Relative size of the first term that the tail polynomial of phi leaves out.
+_TAIL_TRUNCATION = 1e-17
+
+# log_phi switches to the form t + log1p(-P(t) e^-t) here, below the overflow of
+# e^t at LOG_MAX ~ 709.78.
+_LOG_SWITCH = 690.0
 
 
 def _validate_dim(dim) -> int:
@@ -89,10 +98,6 @@ class ProblemParams:
             )
 
     @property
-    def sphere_area(self) -> float:
-        return sphere_area(self.dim)
-
-    @property
     def exponent(self) -> float:
         """The power N/(N-1) applied to |u| inside the truncated exponential."""
         return self.dim / (self.dim - 1.0)
@@ -100,41 +105,59 @@ class ProblemParams:
 
 def _as_float_array(t):
     arr = np.asarray(t, dtype=float)
-    if np.any(np.isnan(arr)):
+    # one reduction answers both checks: NaN propagates through min
+    lo = np.min(arr, initial=np.inf)
+    if lo != lo:
         raise DomainError("t must not be NaN")
-    if np.any(arr < 0):
+    if lo < 0:
         raise DomainError("truncated exponential is only defined for t >= 0")
-    return arr
+    # a 0-d input comes back as a numpy scalar, whose arithmetic is cheaper
+    return arr[()]
 
 
-def _taylor_partial_sum(n_terms: int, t: np.ndarray) -> np.ndarray:
-    """Sum_{j=0}^{n_terms} t^j / j!  (n_terms < 0 gives 0)."""
-    s = np.zeros_like(t)
-    if n_terms < 0:
-        return s
-    term = np.ones_like(t)
-    s += term
-    for j in range(1, n_terms + 1):
-        term = term * t / j
-        s += term
-    return s
+@functools.cache
+def _tail_series(dim: int) -> tuple:
+    """Switch point and Horner coefficients of phi's all-positive tail series.
+
+    Below the switch x = dim - 2, phi is x^(dim-1) Sum_k x^k/(dim-1+k)! with the
+    fixed degree at which the first omitted term is below _TAIL_TRUNCATION of
+    the first one.  From the switch on, phi keeps about 40% of e^x, so
+    expm1(x) minus the Taylor terms loses less than two bits.  Coefficients
+    1/(dim-1+k)! are correctly rounded and listed highest degree first.
+    """
+    switch = float(dim - 2)
+    first = 1.0 / math.factorial(dim - 1)
+    degree = 0
+    while (switch ** (degree + 1) / math.factorial(dim + degree)
+           >= _TAIL_TRUNCATION * first):
+        degree += 1
+    return switch, tuple(1.0 / math.factorial(dim - 1 + k)
+                         for k in range(degree, -1, -1))
 
 
-def _phi_tail_series(dim: int, t: np.ndarray) -> np.ndarray:
-    """Sum_{j>=dim-1} t^j / j!, all terms positive: no cancellation for small t."""
-    j0 = dim - 1
-    term = np.ones_like(t)
-    for j in range(1, j0 + 1):
-        term = term * t / j
-    s = term.copy()
-    j = j0
-    while j < j0 + 80:
-        j += 1
-        term = term * t / j
-        s += term
-        if np.all(term <= 1e-17 * s):
-            break
-    return s
+def _phi(d: int, x):
+    """phi(d, x) for a validated float array or numpy scalar x."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.expm1(x)
+        if d == 2:
+            return e
+        switch, coef = _tail_series(d)
+        # Horner steps in place (a scalar x just rebinds)
+        tail = coef[0] * x
+        for c in coef[1:]:
+            tail += c
+            tail *= x
+        for _ in range(d - 2):
+            tail *= x
+        # Taylor terms j = 1..d-2 as x(1 + x/2(1 + x/3(...)))
+        head = 1.0
+        for j in range(d - 2, 1, -1):
+            head = 1.0 + x / j * head
+        return np.where(x < switch, tail, e - x * head)
+
+
+def _scalar_or_array(arr: np.ndarray, out):
+    return float(out) if arr.ndim == 0 else out
 
 
 def phi(dim, t):
@@ -146,16 +169,7 @@ def phi(dim, t):
     """
     d = _validate_dim(dim)
     arr = _as_float_array(t)
-    x = np.atleast_1d(arr)
-    out = np.empty_like(x)
-    small = x < _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = _phi_tail_series(d, x[small])
-    big = ~small
-    if np.any(big):
-        with np.errstate(over="ignore"):
-            out[big] = np.exp(x[big]) - _taylor_partial_sum(d - 2, x[big])
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    return _scalar_or_array(arr, _phi(d, arr))
 
 
 def phi_derivative(dim, t):
@@ -167,30 +181,30 @@ def phi_derivative(dim, t):
     if d == 2:
         arr = _as_float_array(t)
         with np.errstate(over="ignore"):
-            out = np.exp(arr)
-        return float(out) if arr.ndim == 0 else out
+            return _scalar_or_array(arr, np.exp(arr))
     return phi(d - 1, t)
 
 
 def log_phi(dim, t):
     """log(phi(dim, t)), finite for every t > 0 including t far beyond overflow.
 
-    For large t this is t + log1p(-P(t) e^-t) with P the Taylor polynomial, so
-    the result never overflows; t = 0 maps to -inf.
+    Below t = 690 this is log(phi); from there on it is t + log1p(-P(t) e^-t)
+    with P the Taylor polynomial, so the result never overflows; t = 0 maps to
+    -inf.
     """
     d = _validate_dim(dim)
     arr = _as_float_array(t)
-    x = np.atleast_1d(arr)
-    out = np.empty_like(x)
-    lo = x < 690.0
-    if np.any(lo):
-        with np.errstate(divide="ignore"):
-            out[lo] = np.log(phi(d, x[lo]))
-    hi = ~lo
-    if np.any(hi):
-        xh = x[hi]
-        out[hi] = xh + np.log1p(-_taylor_partial_sum(d - 2, xh) * np.exp(-xh))
-    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = np.log(_phi(d, np.minimum(arr, _LOG_SWITCH)))
+        if np.max(arr, initial=0.0) >= _LOG_SWITCH:
+            # P(t) e^-t term by term in log scale: P(t) alone overflows
+            # for large t once N >= 4
+            log_t = np.log(arr)
+            rest = np.exp(-arr)
+            for j in range(1, d - 1):
+                rest += np.exp(j * log_t - math.lgamma(j + 1.0) - arr)
+            out = np.where(arr >= _LOG_SWITCH, arr + np.log1p(-rest), out)
+    return _scalar_or_array(arr, out)
 
 
 @dataclass(frozen=True)
@@ -205,12 +219,6 @@ class LogValue:
 
     log: float
 
-    @classmethod
-    def from_value(cls, x: float) -> "LogValue":
-        if x < 0:
-            raise DomainError(f"LogValue needs a nonnegative quantity, got {x}")
-        return cls(log=math.log(x) if x > 0 else -math.inf)
-
     @property
     def saturated(self) -> bool:
         return self.log > LOG_MAX
@@ -222,9 +230,6 @@ class LogValue:
         if self.log == -math.inf:
             return 0.0
         return math.exp(self.log)
-
-    def __float__(self) -> float:
-        return self.value
 
 
 def lower_incomplete_gamma(a: float, x: float) -> float:

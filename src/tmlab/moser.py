@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .core import (LogValue, ProblemParams, critical_alpha_beta, log_phi,
-                   lower_incomplete_gamma, phi)
+                   lower_incomplete_gamma, phi, sphere_area)
 from .errors import DomainError
 from .profiles import RadialProfile
 from .report import ScanTable
@@ -46,9 +46,9 @@ class MoserElement:
 def _constants(n: int, params: ProblemParams):
     if n < 1 or not isinstance(n, int):
         raise DomainError(f"index must be a positive integer, got {n!r}")
-    nb = params.dim - params.beta
-    b_n = n / nb
-    a_n = (1.0 / params.sphere_area) ** (1.0 / params.dim) * b_n ** (-1.0 / params.dim)
+    nd = params.dim
+    b_n = n / (nd - params.beta)
+    a_n = (1.0 / sphere_area(nd)) ** (1.0 / nd) * b_n ** (-1.0 / nd)
     return a_n, b_n
 
 
@@ -93,7 +93,7 @@ def weight_norm_closed_form(n: int, params: ProblemParams) -> float:
     """
     a_n, b_n = _constants(n, params)
     nd, g = params.dim, params.gamma
-    omega = params.sphere_area
+    omega = sphere_area(nd)
     c = nd - g
     term_i = omega * (a_n * b_n) ** nd * math.exp(-c * b_n) / c
     term_ii = ((nd - params.beta) / n) * c ** (-(nd + 1.0)) \
@@ -133,7 +133,7 @@ def plateau_lower_bound(n: int, params: ProblemParams,
         weight_pow = weight_norm_closed_form(n, params)
     lam_n = _lam_from_weight(weight_pow, params)
     arg = (n * params.alpha / crit) * lam_n ** params.exponent
-    log_val = (math.log(params.sphere_area / (nd - params.beta)) - n
+    log_val = (math.log(sphere_area(nd) / (nd - params.beta)) - n
                + log_phi(nd, arg))
     return LogValue(log_val)
 

@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LogValue, ProblemParams, log_phi, phi_derivative
+from .core import LogValue, ProblemParams, log_phi, phi_derivative, sphere_area
 from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      ValidationError)
 from .quadrature import integrate_segments
@@ -229,6 +229,8 @@ def _hat_gradient(params: ProblemParams, base, plateau) -> Quantity:
     Each segment's integrals of base times its two interpolation hat weights
     go to the segment's left and right node.  Warns if an integrand overflowed.
     """
+    omega = sphere_area(params.dim)
+
     def bind(live):
         dt = live.t1 - live.t0
 
@@ -243,7 +245,7 @@ def _hat_gradient(params: ProblemParams, base, plateau) -> Quantity:
             out = np.zeros(profile.num_nodes)
             # left-node integrals of every segment first, then the right-node ones
             np.add.at(out, np.concatenate([idx, idx + 1]),
-                      params.sphere_area * vals.ravel())
+                      omega * vals.ravel())
             out[0] += plateau(profile)
             if not np.all(np.isfinite(out)):
                 warnings.warn("node gradient saturated: integrand overflowed",
@@ -273,7 +275,7 @@ def weight_quantity(p, delta: float, params: ProblemParams) -> Quantity:
     if delta >= n:
         raise DivergentWeightError(
             f"weight exponent {delta} >= dimension {n}: plateau integral diverges")
-    omega = params.sphere_area
+    omega = sphere_area(n)
     c = n - delta
 
     def bind(live):
@@ -307,9 +309,10 @@ def weight_gradient_quantity(params: ProblemParams) -> Quantity:
     """Node gradient of the weight norm power (p = N, weight |x|^-gamma)."""
     n = params.dim
     c = n - params.gamma
+    omega = sphere_area(n)
 
     def plateau(profile):
-        return (params.sphere_area * n * profile.values[0] ** (n - 1)
+        return (omega * n * profile.values[0] ** (n - 1)
                 * profile.radii[0] ** c / c)
 
     return _hat_gradient(params, lambda t, u: n * u ** (n - 1) * np.exp(c * t),
@@ -325,7 +328,7 @@ def functional_quantity(params: ProblemParams) -> Quantity:
     """
     n, alpha, beta = params.dim, params.alpha, params.beta
     q = params.exponent
-    omega = params.sphere_area
+    omega = sphere_area(n)
     c = n - beta
 
     def bind(live):
@@ -367,6 +370,7 @@ def functional_gradient_quantity(params: ProblemParams) -> Quantity:
     n, alpha, beta = params.dim, params.alpha, params.beta
     q = params.exponent
     c = n - beta
+    omega = sphere_area(n)
 
     def base(t, u):
         with np.errstate(over="ignore"):
@@ -375,7 +379,7 @@ def functional_gradient_quantity(params: ProblemParams) -> Quantity:
 
     def plateau(profile):
         u0 = profile.values[0]
-        return (params.sphere_area * phi_derivative(n, alpha * u0 ** q)
+        return (omega * phi_derivative(n, alpha * u0 ** q)
                 * alpha * q * u0 ** (q - 1.0)
                 * profile.radii[0] ** c / c)
 
@@ -392,7 +396,7 @@ def grad_norm_pow(profile: RadialProfile, params: ProblemParams) -> float:
     n = params.dim
     dt = np.diff(profile.log_radii)
     du = np.diff(profile.values)
-    return params.sphere_area * float(np.sum(np.abs(du) ** n / dt ** (n - 1)))
+    return sphere_area(n) * float(np.sum(np.abs(du) ** n / dt ** (n - 1)))
 
 
 def grad_norm_pow_gradient(profile: RadialProfile,
@@ -402,8 +406,8 @@ def grad_norm_pow_gradient(profile: RadialProfile,
     dt = np.diff(profile.log_radii)
     du = np.diff(profile.values)
     edge = np.abs(du) ** (n - 1) * np.sign(du) / dt ** (n - 1)
-    return params.sphere_area * n * (np.concatenate([[0.0], edge])
-                                     - np.concatenate([edge, [0.0]]))
+    return sphere_area(n) * n * (np.concatenate([[0.0], edge])
+                                 - np.concatenate([edge, [0.0]]))
 
 
 def weighted_lp_pow(profile: RadialProfile, p: float, delta: float,

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from tmlab import (ProblemParams, functional, functional_gradient,
-                   grad_norm_pow, norms_gradient, weighted_lp_pow)
+                   grad_norm_pow, norms_gradient, sphere_area, weighted_lp_pow)
 from tmlab.profiles import random_profile  # noqa: F401  (the tests import it from here)
 
 # Parameter matrix used throughout: (dim, beta, gamma).
@@ -62,7 +62,7 @@ def oracle_weighted_lp(profile, p, delta, params, tol=1e-12):
     for a, b in zip(pts[:-1], pts[1:]):
         val, _ = quad(f, a, b, epsabs=0.0, epsrel=tol, limit=300)
         total += val
-    return params.sphere_area * total
+    return sphere_area(params.dim) * total
 
 
 def oracle_functional(profile, params, tol=1e-12):
@@ -80,7 +80,7 @@ def oracle_functional(profile, params, tol=1e-12):
     for a, b in zip(pts[:-1], pts[1:]):
         val, _ = quad(f, a, b, epsabs=0.0, epsrel=tol, limit=300)
         total += val
-    return params.sphere_area * total
+    return sphere_area(params.dim) * total
 
 
 def finite_difference_gradient(fn, profile, rel_step=1e-6):

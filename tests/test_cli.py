@@ -4,6 +4,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 from tmlab import RadialProfile
 from tmlab.cli import run
 
@@ -313,6 +315,41 @@ class TestConfigHandling:
         # the whole file matches; only the echoed config names its jobs value
         assert '"jobs":1' in o1.read_text()
         assert o1.read_text().replace('"jobs":1', '"jobs":2') == o2.read_text()
+
+
+class TestWrongTypedConfig:
+    # each config value the commands convert with int() or float(): a value
+    # of the wrong type is refused with exit 2 and a message naming its key
+    CELL = {"dim": 2, "alpha_ratio": 0.5, "beta": 0.0, "gamma": 0.0}
+    CASES = {
+        "eval": [{"beta": "x"}, {"gamma": [1]}, {"moser_index": "x"}],
+        "optimize": [{"alpha": "x"}, {"alpha_ratio": {}}],
+        "moser": [{"n_min": "x"}, {"n_max": 1e400}],
+        "relation": [{"alpha_count": "x"}, {"alpha_ratios": [0.5, "x"]},
+                     {"jobs": "x"}],
+        "asymptotic": [{"alpha_ratios": "0.5,0.9"}, {"alpha_ratios": [None]}],
+        "orbit": [{"moser_index": [3]}, {"beta": None}],
+        "transform-check": [{"count": "x"}],
+    }
+    EXTRA = {"eval": {"moser_index": 3}, "optimize": {"mode": "A"},
+             "orbit": {"moser_index": 3}}
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_exit_2_names_key(self, command, tmp_path, capsys):
+        for bad in self.CASES[command]:
+            (key,) = bad
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps(
+                {**self.CELL, **self.EXTRA.get(command, {}), **bad}))
+            assert run([command, "--config", str(cfgfile)]) == 2, bad
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {key} must be "), err
+
+    def test_jobs_environment_exit_2(self, monkeypatch, capsys):
+        monkeypatch.setenv("TMLAB_JOBS", "two")
+        assert run(["moser", "--dim", "2", "--alpha-ratio", "0.5",
+                    "--beta", "0", "--gamma", "0", "--n-max", "2"]) == 2
+        assert "TMLAB_JOBS must be an integer" in capsys.readouterr().err
 
 
 class TestRunRepeatedInOneProcess:

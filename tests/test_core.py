@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import gammainc
@@ -79,10 +80,29 @@ class TestPhi:
         assert_rel_close(phi(4, t), t ** 3 / 6 + t ** 4 / 24 + t ** 5 / 120, 1e-13)
 
     def test_rejects_negative(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"only defined for t >= 0"):
             phi(2, -0.1)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"only defined for t >= 0"):
             phi(3, np.array([0.5, -1.0]))
+
+    def test_rejects_nan(self):
+        for fn in (phi, phi_derivative, log_phi):
+            for n in (2, 4):
+                with pytest.raises(DomainError, match="must not be NaN"):
+                    fn(n, math.nan)
+                # NaN wins over a negative entry in the same array
+                with pytest.raises(DomainError, match="must not be NaN"):
+                    fn(n, np.array([0.5, -1.0, math.nan]))
+
+    def test_scalar_in_float_out(self):
+        for fn in (phi, phi_derivative, log_phi):
+            for n in (2, 3, 5):
+                assert type(fn(n, 0.7)) is float
+                assert type(fn(n, np.float64(700.5))) is float
+                assert fn(n, np.array(0.7)) == fn(n, 0.7)
+                assert fn(n, np.array([0.7]))[0] == fn(n, 0.7)
+                assert fn(n, np.zeros((2, 3))).shape == (2, 3)
+                assert fn(n, np.array([])).shape == (0,)
 
     def test_lower_bound_by_first_tail_term(self):
         # the series tail dominates its first term
@@ -138,30 +158,31 @@ class TestLogPhi:
         assert val <= 710.0
         assert val == pytest.approx(710.0, abs=1e-9)
 
+    def test_no_overflow_of_the_polynomial(self):
+        # P(t) e^-t stays finite where P(t) itself overflows
+        for n in (2, 3, 4, 6):
+            t = np.array([1e80, 1e200, 1e300])
+            assert np.array_equal(log_phi(n, t), t)
+
     def test_zero_maps_to_neg_inf(self):
         assert log_phi(3, 0.0) == -math.inf
 
 
 class TestLogValue:
     def test_roundtrip(self):
-        v = LogValue.from_value(3.5)
+        v = LogValue(log=math.log(3.5))
         assert v.value == pytest.approx(3.5, rel=1e-15)
         assert not v.saturated
-        assert float(v) == v.value
 
     def test_zero(self):
-        v = LogValue.from_value(0.0)
-        assert v.log == -math.inf
+        v = LogValue(log=-math.inf)
         assert v.value == 0.0
+        assert not v.saturated
 
     def test_saturation(self):
         v = LogValue(log=800.0)
         assert v.saturated
         assert v.value == math.inf
-
-    def test_rejects_negative(self):
-        with pytest.raises(DomainError):
-            LogValue.from_value(-1.0)
 
 
 class TestLowerIncompleteGamma:
@@ -180,3 +201,94 @@ class TestLowerIncompleteGamma:
             lower_incomplete_gamma(-1.0, 1.0)
         with pytest.raises(DomainError):
             lower_incomplete_gamma(2.0, -1.0)
+
+
+# Independent references at 400 digits. Phi_N is e^x minus its Taylor
+# polynomial; at x = 1e-8 and N = 6 that subtraction cancels ~40 digits, so
+# 400 leave far more than double precision (40 would not).
+_ORACLE_DPS = 400
+_DIMS = (2, 3, 4, 5, 6)
+
+
+def _oracle_exp_minus_taylor(x, n_terms):
+    """e^x - sum_{j < n_terms} x^j / j!, as an mpf at _ORACLE_DPS digits."""
+    with mpmath.workdps(_ORACLE_DPS):
+        x = mpmath.mpf(float(x))
+        return mpmath.exp(x) - mpmath.fsum(x ** j / mpmath.factorial(j)
+                                           for j in range(n_terms))
+
+
+def _rel_err(value, ref):
+    with mpmath.workdps(_ORACLE_DPS):
+        return float(abs(mpmath.mpf(float(value)) - ref) / abs(ref))
+
+
+def _phi_bound(n):
+    """The accuracy the scalar layer promises, relative to Phi_N."""
+    return 1e-15 if n <= 4 else 2e-14
+
+
+def _oracle_grid():
+    """x in [1e-8, 700], dense on both sides of x = 1 and x = 690."""
+    below_one = np.nextafter(1.0, 0.0)
+    below_690 = np.nextafter(690.0, 0.0)
+    return np.unique(np.concatenate([
+        np.geomspace(1e-8, 700.0, 120),
+        np.linspace(0.9, 1.1, 41), [below_one, 1.0],
+        np.linspace(0.5, 5.0, 46),
+        np.linspace(680.0, 700.0, 21), [below_690, 690.0],
+    ]))
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("n", _DIMS)
+    def test_phi(self, n):
+        xs = _oracle_grid()
+        vals = phi(n, xs)
+        errs = [_rel_err(v, _oracle_exp_minus_taylor(x, n - 1))
+                for x, v in zip(xs, vals)]
+        worst = int(np.argmax(errs))
+        assert errs[worst] <= _phi_bound(n), f"N={n} x={xs[worst]!r}: {errs[worst]:.2e}"
+
+    @pytest.mark.parametrize("n", _DIMS)
+    def test_phi_derivative(self, n):
+        xs = _oracle_grid()
+        vals = phi_derivative(n, xs)
+        errs = [_rel_err(v, _oracle_exp_minus_taylor(x, n - 2))
+                for x, v in zip(xs, vals)]
+        worst = int(np.argmax(errs))
+        assert errs[worst] <= _phi_bound(n), f"N={n} x={xs[worst]!r}: {errs[worst]:.2e}"
+
+    @pytest.mark.parametrize("n", _DIMS)
+    def test_log_phi(self, n):
+        # also past the overflow of e^x at ~709.78; the error is absolute
+        # (relative in Phi) while |log Phi| <= 1 and relative beyond
+        xs = np.concatenate([_oracle_grid(), [705.0, 709.7, 710.0, 750.0, 1e3, 5e3]])
+        vals = log_phi(n, xs)
+        errs = []
+        for x, v in zip(xs, vals):
+            with mpmath.workdps(_ORACLE_DPS):
+                ref = mpmath.log(_oracle_exp_minus_taylor(x, n - 1))
+                errs.append(float(abs(mpmath.mpf(float(v)) - ref)
+                                  / max(1, abs(ref))))
+        worst = int(np.argmax(errs))
+        assert errs[worst] <= _phi_bound(n), f"N={n} x={xs[worst]!r}: {errs[worst]:.2e}"
+
+    @pytest.mark.parametrize("n", _DIMS)
+    def test_lower_incomplete_gamma(self, n):
+        # the shape the Moser weight norm uses, a = N + 1; both sides of the
+        # series / continued-fraction switch at x = a + 1
+        a = n + 1.0
+        xs = np.unique(np.concatenate([
+            np.geomspace(1e-8, 900.0, 60),
+            a + 1.0 + np.linspace(-0.25, 0.25, 21),
+            [np.nextafter(a + 1.0, 0.0)],
+        ]))
+        for x in xs:
+            with mpmath.workdps(50):
+                ref = mpmath.gammainc(a, 0, float(x))
+            err = _rel_err(lower_incomplete_gamma(a, float(x)), ref)
+            # the prefactor e^(a ln x - x) is exact to a few ulps of its
+            # argument, which reaches |a ln x| ~ 130 at x = 1e-8
+            bound = 2e-15 + 4e-16 * abs(a * math.log(x) - x)
+            assert err <= bound, f"a={a} x={x!r}: {err:.2e} > {bound:.2e}"

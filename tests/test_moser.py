@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from tmlab import (critical_alpha_beta, functional, functional_log,
-                   grad_norm_pow, norms, weighted_lp_pow)
+                   grad_norm_pow, norms, sphere_area, weighted_lp_pow)
 from tmlab.errors import DomainError
 from tmlab.moser import (asymptotic_lower_scan, build, normalized,
                          plateau_lower_bound, select_index,
@@ -72,7 +72,7 @@ class TestWeightNormClosedForm:
 
         seg, _ = quad(f, math.exp(-b), 1.0, epsabs=0.0, epsrel=1e-12)
         plateau = (a * b) ** 3 * math.exp(-b) ** 2.5 / 2.5
-        ref = params.sphere_area * (plateau + seg)
+        ref = sphere_area(params.dim) * (plateau + seg)
         assert_rel_close(weight_norm_closed_form(n, params), ref, 1e-10)
 
     def test_large_n_limit(self, cell):
@@ -191,7 +191,7 @@ class TestFunctionalOnNormalizedFamily:
         from tmlab import phi
 
         c = params.dim - params.beta
-        plateau = params.sphere_area * phi(params.dim, params.alpha * u0 ** params.exponent) \
+        plateau = sphere_area(params.dim) * phi(params.dim, params.alpha * u0 ** params.exponent) \
             * r0 ** c / c
         assert_rel_close(plateau, plateau_lower_bound(n, params).value, 1e-11)
 

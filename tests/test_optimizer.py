@@ -128,7 +128,7 @@ class TestDefaultConfigValues:
     # arithmetic on that path shows here
     def test_mode_a_at_half_critical(self):
         res = maximize_A(make_params((2, 0.0, 0.0), alpha_ratio=0.5))
-        assert_rel_close(res.value, 13.440245794815574, 1e-9, "sup A")
+        assert_rel_close(res.value, 13.44026163443492, 1e-9, "sup A")
         assert res.start_id == "bump"
 
     def test_mode_b_at_critical(self):

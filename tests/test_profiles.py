@@ -7,7 +7,8 @@ from scipy.integrate import quad
 
 from tmlab import (ProblemParams, RadialProfile, at_normalize, dilate,
                    functional, functional_gradient, functional_log,
-                   grad_norm_pow, norms, norms_gradient, weighted_lp_pow)
+                   grad_norm_pow, norms, norms_gradient, sphere_area,
+                   weighted_lp_pow)
 from tmlab import profiles
 from tmlab.optimizer import OptimizerConfig, starting_profiles
 from tmlab.moser import normalized
@@ -129,7 +130,7 @@ class TestGradNormPow:
                               p.radii[i], p.radii[i + 1], epsrel=1e-13)
                 total += val
             assert_rel_close(grad_norm_pow(p, params),
-                             params.sphere_area * total, 1e-12)
+                             sphere_area(params.dim) * total, 1e-12)
 
 
 class TestWeightedLpPow:
