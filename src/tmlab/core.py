@@ -169,7 +169,12 @@ def phi(dim, t):
     """
     d = _validate_dim(dim)
     arr = _as_float_array(t)
-    return _scalar_or_array(arr, _phi(d, arr))
+    out = _phi(d, arr)
+    if d > 2 and arr.max(initial=0.0) > LOG_MAX:
+        # once e^t overflows, the subtracted Taylor terms can overflow too
+        # (always at t = inf): keep the limit inf rather than inf - inf
+        out = np.where(np.isnan(out), np.inf, out)
+    return _scalar_or_array(arr, out)
 
 
 def phi_derivative(dim, t):
@@ -198,11 +203,12 @@ def log_phi(dim, t):
         out = np.log(_phi(d, np.minimum(arr, _LOG_SWITCH)))
         if np.max(arr, initial=0.0) >= _LOG_SWITCH:
             # P(t) e^-t term by term in log scale: P(t) alone overflows
-            # for large t once N >= 4
-            log_t = np.log(arr)
-            rest = np.exp(-arr)
+            # for large t once N >= 4; t = +inf is capped so every term is 0
+            big = np.minimum(arr, sys.float_info.max)
+            log_t = np.log(big)
+            rest = np.exp(-big)
             for j in range(1, d - 1):
-                rest += np.exp(j * log_t - math.lgamma(j + 1.0) - arr)
+                rest += np.exp(j * log_t - math.lgamma(j + 1.0) - big)
             out = np.where(arr >= _LOG_SWITCH, arr + np.log1p(-rest), out)
     return _scalar_or_array(arr, out)
 
@@ -255,6 +261,9 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
             total += term
             if abs(term) < 1e-16 * abs(total):
                 break
+        # below x = 1, x^a e^-x does not amplify the rounding of a ln x
+        if x < 1.0:
+            return total * (x ** a * math.exp(-x))
         return total * math.exp(log_prefactor)
     # continued fraction for the upper integral
     tiny = 1e-300

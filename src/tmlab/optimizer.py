@@ -16,6 +16,16 @@ with an exact golden-section polish along the dilation family, the direction
 a fixed value grid cannot represent.  Multistarts (concentrating elements, a
 broad bump, seeded noise) are merged by best value.  Everything is
 deterministic under a fixed config and seed.
+
+The multistart legs run in lock step.  Each leg is a generator that yields
+its next evaluation request: a mode-A objective, a mode-B objective, or one
+J value of the dilation polish.  At every step _drive groups the pending
+requests of all legs by kind and node count and answers each group with one
+batched call, so a step costs one quadrature pass per mode-A group, two per
+mode-B group and one per group of polish values, whatever the number of
+legs.  integrate_batch gives each profile the same bits as a batch of one,
+so every leg computes exactly what it computes alone; an executor pool runs
+the legs one at a time through _ascend and returns the same result.
 """
 
 from __future__ import annotations
@@ -28,8 +38,8 @@ import numpy as np
 from . import moser
 from .core import ProblemParams, critical_alpha_beta
 from .errors import SupercriticalError, ValidationError
-from .profiles import (RadialProfile, at_normalize, dilate, dilated_norms,
-                       functional, functional_gradient_quantity,
+from .profiles import (RadialProfile, at_normalize, dilated_norms,
+                       functional_gradient_quantity, functional_log_batch,
                        functional_quantity, grad_norm_pow,
                        grad_norm_pow_gradient, integrate_batch, norms,
                        weight_gradient_quantity, weight_quantity,
@@ -171,27 +181,34 @@ def starting_profiles(params: ProblemParams, config: OptimizerConfig):
 
 
 def _objective_b(values, radii, params, quad_tol):
-    """R(u) = J(u / ||u||_X) and its gradient on the fixed radii grid.
+    """R(u) = J(u / ||u||_X) and its gradient on fixed radii grids.
 
-    Two quadrature passes: the weight norm power and its gradient on u, then
-    J and its gradient on the normalized profile.
+    values and radii are one profile's nodes, giving (value, gradient), or
+    (k, nodes) arrays of k profiles, giving a list of k such pairs.  Two
+    quadrature passes for the whole batch: the weight norm power and its
+    gradient on each u, then J and its gradient on each normalized profile.
     """
+    single = np.ndim(values) == 1
+    values, radii = np.atleast_2d(values), np.atleast_2d(radii)
     n = params.dim
-    prof = RadialProfile(radii, values)
-    w_pow, d_weight = integrate_batch(
-        [prof], [weight_quantity(n, params.gamma, params),
-                 weight_gradient_quantity(params)], quad_tol)[0]
-    full_pow = grad_norm_pow(prof, params) + w_pow
-    if full_pow <= 0.0:
-        return 0.0, np.zeros_like(values)
-    scale = full_pow ** (-1.0 / n)
-    scaled = prof.scaled(scale)
-    j, g = integrate_batch(
-        [scaled], [functional_quantity(params),
-                   functional_gradient_quantity(params)], quad_tol)[0]
-    grad = scale * g - (float(g @ values) / n) * (scale / full_pow) \
-        * (grad_norm_pow_gradient(prof, params) + d_weight)
-    return j.value, grad
+    out = [(0.0, np.zeros_like(u)) for u in values]
+    profs = [RadialProfile(r, u) for u, r in zip(values, radii)]
+    weights = integrate_batch(profs, [weight_quantity(n, params.gamma, params),
+                                      weight_gradient_quantity(params)], quad_tol)
+    live = []
+    for i, (prof, (w_pow, d_weight)) in enumerate(zip(profs, weights)):
+        full_pow = grad_norm_pow(prof, params) + w_pow
+        if full_pow > 0.0:
+            live.append((i, prof, d_weight, full_pow, full_pow ** (-1.0 / n)))
+    passes = integrate_batch(
+        [prof.scaled(scale) for _, prof, _, _, scale in live],
+        [functional_quantity(params), functional_gradient_quantity(params)],
+        quad_tol)
+    for (i, prof, d_weight, full_pow, scale), (j, g) in zip(live, passes):
+        grad = scale * g - (float(g @ values[i]) / n) * (scale / full_pow) \
+            * (grad_norm_pow_gradient(prof, params) + d_weight)
+        out[i] = (j.value, grad)
+    return out[0] if single else out
 
 
 def _objective_a(values, radii, params, quad_tol):
@@ -199,36 +216,81 @@ def _objective_a(values, radii, params, quad_tol):
 
     theta = (N - beta)/(N - gamma); dividing by the weight norm power to theta
     equals dilating v onto the unit weight sphere, by the dilation identity.
-    One quadrature pass on v gives J, the weight norm power and both their
-    gradients; the gradient norm and its gradient are closed forms.
+    One quadrature pass on the v of the whole batch gives J, the weight norm
+    power and both their gradients; the gradient norm and its gradient are
+    closed forms.  values and radii are as in _objective_b.
     """
+    single = np.ndim(values) == 1
+    values, radii = np.atleast_2d(values), np.atleast_2d(radii)
     n = params.dim
     theta = (n - params.beta) / (n - params.gamma)
-    prof = RadialProfile(radii, values)
-    g_pow = grad_norm_pow(prof, params)
-    if g_pow <= 0.0:
-        return 0.0, np.zeros_like(values)
-    c = g_pow ** (-1.0 / n)
-    v = prof.scaled(c)
-    w_pow, d_weight_v, j_log, g_j = integrate_batch(
-        [v], [weight_quantity(n, params.gamma, params),
-              weight_gradient_quantity(params),
-              functional_quantity(params),
-              functional_gradient_quantity(params)], quad_tol)[0]
-    if w_pow <= 0.0:
-        return 0.0, np.zeros_like(values)
-    j = j_log.value
-    value = j * w_pow ** (-theta)
-    # dF/dv, then pull back through v = c(u) * u
-    df = g_j * w_pow ** (-theta) - theta * j * w_pow ** (-theta - 1.0) * d_weight_v
-    dc = -(1.0 / n) * g_pow ** (-1.0 / n - 1.0) * grad_norm_pow_gradient(prof, params)
-    grad = c * df + float(df @ values) * dc
-    return value, grad
+    out = [(0.0, np.zeros_like(u)) for u in values]
+    live = []
+    for i, (u, r) in enumerate(zip(values, radii)):
+        prof = RadialProfile(r, u)
+        g_pow = grad_norm_pow(prof, params)
+        if g_pow > 0.0:
+            live.append((i, prof, g_pow, g_pow ** (-1.0 / n)))
+    passes = integrate_batch(
+        [prof.scaled(c) for _, prof, _, c in live],
+        [weight_quantity(n, params.gamma, params),
+         weight_gradient_quantity(params),
+         functional_quantity(params),
+         functional_gradient_quantity(params)], quad_tol)
+    for (i, prof, g_pow, c), (w_pow, d_weight_v, j_log, g_j) in zip(live, passes):
+        if w_pow <= 0.0:
+            continue
+        j = j_log.value
+        value = j * w_pow ** (-theta)
+        # dF/dv, then pull back through v = c(u) * u
+        df = g_j * w_pow ** (-theta) - theta * j * w_pow ** (-theta - 1.0) * d_weight_v
+        dc = -(1.0 / n) * g_pow ** (-1.0 / n - 1.0) * grad_norm_pow_gradient(prof, params)
+        out[i] = (value, c * df + float(df @ values[i]) * dc)
+    return out[0] if single else out
 
 
-def _lbfgs_ascend(objective, values, config):
+def _functional_values(values, radii, params, quad_tol):
+    """J of each profile of a (k, nodes) batch, from one quadrature pass."""
+    profiles = [RadialProfile(r, u) for u, r in zip(values, radii)]
+    return [j.value for j in functional_log_batch(profiles, params, quad_tol)]
+
+
+def _drive(legs, params, quad_tol):
+    """Run generator legs in lock step; returns what each leg returns, in order.
+
+    A leg yields a request (fn, values, radii) for one profile and is sent
+    fn(values, radii, params, quad_tol) of it.  Each step collects the next
+    request of every leg still running, groups them by fn and node count, and
+    answers each group with one call on the stacked batch.  A profile's
+    answer is the same bit for bit in any batch, so a leg runs exactly as it
+    would alone, and a step costs one call per group whatever the number of
+    legs.
+    """
+    results = [None] * len(legs)
+    answers = dict.fromkeys(range(len(legs)))  # a fresh generator is sent None
+    while answers:
+        pending = {}
+        for i, answer in answers.items():
+            try:
+                pending[i] = legs[i].send(answer)
+            except StopIteration as stop:
+                results[i] = stop.value
+        groups = {}
+        for i, (fn, values, _) in pending.items():
+            groups.setdefault((fn, values.size), []).append(i)
+        answers = {}
+        for (fn, _), members in groups.items():
+            out = fn(np.stack([pending[i][1] for i in members]),
+                     np.stack([pending[i][2] for i in members]), params, quad_tol)
+            answers.update(zip(members, out))
+    return results
+
+
+def _lbfgs_steps(request, values, config):
     """Box-projected L-BFGS ascent of objective(u) over u >= 0, last node pinned.
 
+    A generator: each evaluation yields request(u) and is sent back
+    objective(u) = (value, gradient); it returns (u, value, trace, converged).
     Standard two-loop recursion; curvature pairs with nonpositive s.y are
     skipped, and the memory is dropped whenever the pair direction fails to
     ascend.  Acceptance is an Armijo backtracking test from step_init with the
@@ -236,7 +298,7 @@ def _lbfgs_ascend(objective, values, config):
     ends the run with the convergence flag false.
     """
     u = values.copy()
-    value, grad = objective(u)
+    value, grad = yield request(u)
     trace = [value]
     pairs = []
     converged = False
@@ -271,7 +333,7 @@ def _lbfgs_ascend(objective, values, config):
         while step >= config.step_floor:
             trial = np.maximum(u + step * direction, 0.0)
             trial[-1] = 0.0
-            trial_value, trial_grad = objective(trial)
+            trial_value, trial_grad = yield request(trial)
             if trial_value >= value + config.armijo * step * slope:
                 s = trial - u
                 y = grad - trial_grad  # pair convention for minimizing -R
@@ -290,60 +352,89 @@ def _lbfgs_ascend(objective, values, config):
     return u, value, trace, converged
 
 
-def _dilation_polish(profile, params, value, quad_tol):
+def _lbfgs_ascend(objective, values, config):
+    """_lbfgs_steps with objective(u) answering each request for u."""
+    steps = _lbfgs_steps(lambda u: u, values, config)
+    u = next(steps)
+    try:
+        while True:
+            u = steps.send(objective(u))
+    except StopIteration as stop:
+        return stop.value
+
+
+def _polish_steps(profile, params, value, quad_tol):
     """Golden-section ascent of J over the renormalized dilation family.
 
     Dilation moves radii, a direction the fixed value grid cannot take, so an
     exact one-parameter search recovers it; only improvements are kept.  The
     norms of each dilate come from the profile's own by the exact dilation
-    laws, so a step costs one quadrature pass, for J.
+    laws, so a step costs one J value.  A generator of _functional_values
+    requests (see _drive); returns (profile, value), the profile itself when
+    no dilate improves on value.
     """
     n = params.dim
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     rep = norms(profile, params, rel_tol=quad_tol)
 
-    def value_at(s):
+    def dilate_request(s):
+        # dilate(profile, lam).scaled(full ** (-1/n)), as nodes
         lam = math.exp(s)
         full = dilated_norms(rep, lam, params).full_pow
-        moved = dilate(profile, lam).scaled(full ** (-1.0 / n))
-        return functional(moved, params, rel_tol=quad_tol), moved
+        return (_functional_values, full ** (-1.0 / n) * profile.values,
+                profile.radii / lam)
 
     a, b = -_POLISH_SPAN, _POLISH_SPAN
     x1 = b - invphi * (b - a)
     x2 = a + invphi * (b - a)
-    f1, p1 = value_at(x1)
-    f2, p2 = value_at(x2)
-    best_val, best_prof = max((f1, p1), (f2, p2), key=lambda t: t[0])
+    p1 = dilate_request(x1)
+    f1 = yield p1
+    p2 = dilate_request(x2)
+    f2 = yield p2
+    best_val, best = max((f1, p1), (f2, p2), key=lambda t: t[0])
     while b - a > _POLISH_TOL:
         if f1 < f2:
             a, x1, f1, p1 = x1, x2, f2, p2
             x2 = a + invphi * (b - a)
-            f2, p2 = value_at(x2)
+            p2 = dilate_request(x2)
+            f2 = yield p2
             if f2 > best_val:
-                best_val, best_prof = f2, p2
+                best_val, best = f2, p2
         else:
             b, x2, f2, p2 = x2, x1, f1, p1
             x1 = b - invphi * (b - a)
-            f1, p1 = value_at(x1)
+            p1 = dilate_request(x1)
+            f1 = yield p1
             if f1 > best_val:
-                best_val, best_prof = f1, p1
+                best_val, best = f1, p1
     if best_val > value:
-        return best_prof, best_val
+        _, values, radii = best
+        return RadialProfile(radii, values), best_val
     return profile, value
 
 
-def _ascend(start_id, profile, params, config, mode):
-    """One multistart leg: L-BFGS rounds plus dilation polish (mode B)."""
+def _dilation_polish(profile, params, value, quad_tol):
+    """_polish_steps run alone: (profile, value) after the dilation polish."""
+    return _drive([_polish_steps(profile, params, value, quad_tol)],
+                  params, quad_tol)[0]
+
+
+def _leg(start_id, profile, params, config, mode):
+    """One multistart leg: L-BFGS rounds plus dilation polish (mode B).
+
+    A generator of evaluation requests (see _drive); returns the leg's
+    MaximizationResult.
+    """
     quad_tol = config.quad_tol
     n = params.dim
     trace = []
     converged = False
 
     if mode == "A":
-        objective = lambda u: _objective_a(u, profile.radii, params, quad_tol)
-        values, value, trace, converged = _lbfgs_ascend(
-            objective, profile.values, config)
-        best = RadialProfile(profile.radii, values)
+        radii = profile.radii
+        values, value, trace, converged = yield from _lbfgs_steps(
+            lambda u: (_objective_a, u, radii), profile.values, config)
+        best = RadialProfile(radii, values)
         g_pow = grad_norm_pow(best, params)
         best = at_normalize(best.scaled(g_pow ** (-1.0 / n)), params,
                             rel_tol=quad_tol)
@@ -355,19 +446,19 @@ def _ascend(start_id, profile, params, config, mode):
         working = profile
         value = None
         for r in range(rounds):
-            objective = lambda u: _objective_b(u, working.radii, params, quad_tol)
+            radii = working.radii
             leg_config = config if r == 0 \
                 else replace(config, max_iters=max(config.max_iters // 3, 10))
-            values, value, leg, converged = _lbfgs_ascend(
-                objective, working.values, leg_config)
+            values, value, leg, converged = yield from _lbfgs_steps(
+                lambda u: (_objective_b, u, radii), working.values, leg_config)
             trace.extend(leg if not trace else leg[1:])
-            working = RadialProfile(working.radii, values)
+            working = RadialProfile(radii, values)
             rep = norms(working, params, rel_tol=quad_tol)
             working = working.scaled(rep.full_pow ** (-1.0 / n))
             if not config.dilation_polish:
                 break
-            polished, new_value = _dilation_polish(working, params, value,
-                                                   quad_tol)
+            polished, new_value = yield from _polish_steps(working, params,
+                                                           value, quad_tol)
             polish_gained = polished is not working
             if polish_gained:
                 trace.append(new_value)
@@ -390,14 +481,25 @@ def _ascend(start_id, profile, params, config, mode):
                               diagnostics=diagnostics)
 
 
+def _ascend(start_id, profile, params, config, mode):
+    """One multistart leg run alone, through the lock-step driver."""
+    return _drive([_leg(start_id, profile, params, config, mode)],
+                  params, config.quad_tol)[0]
+
+
 def _best_over_starts(params, config, mode, extra_starts, pool):
     starts = list(extra_starts) + starting_profiles(params, config)
-    ids, profs = zip(*starts)
-    k = len(starts)
-    # legs are independent, so a pool only changes where they run; results
-    # come back in roster order and max keeps the first of equal values
-    results = list((pool.map if pool else map)(
-        _ascend, ids, profs, [params] * k, [config] * k, [mode] * k))
+    # legs are independent, so running them in lock step or in a pool only
+    # changes where and when they run; results come back in roster order and
+    # max keeps the first of equal values
+    if pool:
+        ids, profs = zip(*starts)
+        k = len(starts)
+        results = list(pool.map(_ascend, ids, profs, [params] * k,
+                                 [config] * k, [mode] * k))
+    else:
+        results = _drive([_leg(sid, prof, params, config, mode)
+                          for sid, prof in starts], params, config.quad_tol)
     return max(results, key=lambda r: r.value)
 
 

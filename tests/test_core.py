@@ -118,6 +118,22 @@ class TestPhi:
     def test_saturates_to_inf(self):
         assert phi(2, 720.0) == math.inf
 
+    @pytest.mark.parametrize("n", (2, 3, 4, 5, 6))
+    def test_limit_at_infinity(self, n):
+        # Phi_N(t), its derivative and its log all tend to +inf; finite
+        # entries of the same array keep the bits they have on their own
+        t = np.array([0.5, 1.0, 30.0, 700.0, math.inf])
+        for fn in (phi, phi_derivative, log_phi):
+            assert fn(n, math.inf) == math.inf, fn.__name__
+            out = fn(n, t)
+            assert out[-1] == math.inf, fn.__name__
+            assert np.array_equal(out[:-1], fn(n, t[:-1])), fn.__name__
+            assert out[1] == fn(n, 1.0), fn.__name__
+        # also where the subtracted Taylor terms overflow (log_phi reads t
+        # there, see TestLogPhi)
+        assert phi(n, 1e300) == math.inf
+        assert phi_derivative(n, 1e300) == math.inf
+
 
 class TestPhiDerivative:
     def test_n2(self):
@@ -288,7 +304,8 @@ class TestMpmathOracle:
             with mpmath.workdps(50):
                 ref = mpmath.gammainc(a, 0, float(x))
             err = _rel_err(lower_incomplete_gamma(a, float(x)), ref)
-            # the prefactor e^(a ln x - x) is exact to a few ulps of its
-            # argument, which reaches |a ln x| ~ 130 at x = 1e-8
-            bound = 2e-15 + 4e-16 * abs(a * math.log(x) - x)
+            # below x = 1 the prefactor is x^a e^-x, a few ulps; from there on
+            # it is e^(a ln x - x), exact to a few ulps of its argument
+            bound = (2e-15 if x < 1.0
+                     else 2e-15 + 4e-16 * abs(a * math.log(x) - x))
             assert err <= bound, f"a={a} x={x!r}: {err:.2e} > {bound:.2e}"

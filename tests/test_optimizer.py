@@ -216,11 +216,11 @@ class TestCompositeObjectives:
         from tmlab import optimizer, profiles
 
         passes, polish_steps = [], []
-        inner, inner_functional = profiles.integrate_segments, optimizer.functional
+        inner, inner_values = profiles.integrate_segments, optimizer._functional_values
         monkeypatch.setattr(profiles, "integrate_segments",
                             lambda *a, **k: passes.append(1) or inner(*a, **k))
-        monkeypatch.setattr(optimizer, "functional", lambda *a, **k:
-                            polish_steps.append(1) or inner_functional(*a, **k))
+        monkeypatch.setattr(optimizer, "_functional_values", lambda *a, **k:
+                            polish_steps.append(1) or inner_values(*a, **k))
         params = make_params((3, 1.0, 0.5), alpha_ratio=0.7)
         p = random_profile(np.random.default_rng(83), n_nodes=8)
         for objective, count in ((optimizer._objective_a, 1),
@@ -232,6 +232,94 @@ class TestCompositeObjectives:
         passes.clear()
         optimizer._dilation_polish(unit, params, 0.0, 1e-10)
         assert len(passes) == 1 + len(polish_steps)
+
+
+def _tapped(leg, log):
+    """The leg unchanged, appending the name of each request's fn to log."""
+    answer = None
+    try:
+        while True:
+            request = leg.send(answer)
+            log.append(request[0].__name__)
+            answer = yield request
+    except StopIteration as stop:
+        return stop.value
+
+
+class TestLockStep:
+    # a roster of five legs: an extra start on its own 20-node grid, two
+    # Moser starts, the bump and a random start on the 33-node grid
+    CONFIG = OptimizerConfig(node_count=33, moser_starts=(2, 6), random_starts=1,
+                             max_iters=12, polish_rounds=2)
+
+    def _roster(self, params):
+        extra = random_profile(np.random.default_rng(97), n_nodes=20)
+        return [("extra", extra)] + starting_profiles(params, self.CONFIG)
+
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    @pytest.mark.parametrize("cell", [(2, 0.0, 0.0), (3, 1.0, 0.5)], ids=str)
+    def test_each_leg_as_alone(self, cell, mode):
+        # in lock step every leg's result has the bytes of the leg run alone
+        from tmlab import optimizer
+
+        params = make_params(cell, alpha_ratio=0.6 if mode == "A" else 1.0)
+        cfg = self.CONFIG
+        starts = self._roster(params)
+        logs = [[] for _ in starts]
+        legs = [_tapped(optimizer._leg(sid, prof, params, cfg, mode), log)
+                for (sid, prof), log in zip(starts, logs)]
+        together = optimizer._drive(legs, params, cfg.quad_tol)
+        for (sid, prof), res in zip(starts, together):
+            alone = optimizer._ascend(sid, prof, params, cfg, mode)
+            assert json.dumps(res.to_dict()) == json.dumps(alone.to_dict()), sid
+        # the legs end at different steps
+        assert len({len(log) for log in logs}) > 1
+        if mode == "B":
+            # at some step one leg is in L-BFGS while another polishes
+            phases = [{log[s] for log in logs if s < len(log)}
+                      for s in range(max(map(len, logs)))]
+            assert {"_objective_b", "_functional_values"} in phases
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_passes_per_step_whatever_k(self, monkeypatch, k):
+        # one step answers k requests of one kind with 1 pass in mode A, 2 in
+        # mode B and 1 for polish values
+        from tmlab import optimizer, profiles
+
+        passes = []
+        inner = profiles.integrate_segments
+        monkeypatch.setattr(profiles, "integrate_segments",
+                            lambda *a, **kw: passes.append(1) or inner(*a, **kw))
+        params = make_params((3, 1.0, 0.5), alpha_ratio=0.7)
+        rng = np.random.default_rng(89)
+        batch = [random_profile(rng, n_nodes=8) for _ in range(k)]
+        values = np.stack([p.values for p in batch])
+        radii = np.stack([p.radii for p in batch])
+        for fn, count in ((optimizer._objective_a, 1), (optimizer._objective_b, 2),
+                          (optimizer._functional_values, 1)):
+            passes.clear()
+            assert len(fn(values, radii, params, 1e-10)) == k
+            assert len(passes) == count, fn.__name__
+
+    def test_steps_do_not_grow_with_legs(self, monkeypatch):
+        # k copies of one leg make as many batched calls as the leg alone
+        from tmlab import optimizer
+
+        calls = []
+        for name in ("_objective_b", "_functional_values"):
+            inner = getattr(optimizer, name)
+            monkeypatch.setattr(optimizer, name, lambda *a, inner=inner, **kw:
+                                calls.append(1) or inner(*a, **kw))
+        params = make_params((2, 0.0, 0.0), alpha_ratio=1.0)
+        cfg = self.CONFIG
+        sid, prof = self._roster(params)[2]
+        counts = []
+        for k in (1, 3):
+            calls.clear()
+            legs = [optimizer._leg(sid, prof, params, cfg, "B") for _ in range(k)]
+            optimizer._drive(legs, params, cfg.quad_tol)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 class TestResultSerialization:
