@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from dataclasses import replace
 
@@ -74,8 +73,7 @@ def _resolve(args: argparse.Namespace) -> dict:
             cfg[key] = val
     cfg.setdefault("seed", 0)
     cfg.setdefault("format", "csv")
-    cfg.setdefault("jobs", _convert("TMLAB_JOBS",
-                                    os.environ.get("TMLAB_JOBS", "1"), int))
+    cfg.setdefault("jobs", 1)
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
     if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
@@ -228,7 +226,9 @@ def _alpha_grid(cfg: dict, params: ProblemParams, default_ratios) -> list:
 def cmd_relation(cfg: dict) -> int:
     params = _params_from(cfg)
     grid = _alpha_grid(cfg, params, np.linspace(0.1, 0.95, 16))
-    jobs = _convert("jobs", cfg.get("jobs", 1), int)
+    jobs = _convert("jobs", cfg["jobs"], int)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     scan = analysis.relation_scan(params, grid, _optimizer_config(cfg), jobs=jobs)
     if cfg["format"] == "json":
         _emit_json({
@@ -323,8 +323,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--jobs", type=int,
-                       help="worker processes for grid fan-out "
-                            "(default from TMLAB_JOBS)")
+                       help="worker processes for grid fan-out (default 1)")
         p.add_argument("--output", help="write here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"))
         if name in ("eval", "orbit"):

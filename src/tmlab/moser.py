@@ -1,23 +1,25 @@
 """Closed-form concentrating sequences and their norms and lower bounds.
 
-The n-th element is the log-cone
+The n-th element is the log-cone, in t = log r
 
-    u_n = A_n b_n            on [0, e^-b_n]
-    u_n = A_n log(1/r)       on [e^-b_n, 1]
-    u_n = 0                  beyond 1
+    u_n = A_n b_n            for t <= -b_n
+    u_n = -A_n t             on [-b_n, 0]
+    u_n = 0                  for t >= 0
 
 with A_n = sphere_area^(-1/N) (n/(N-beta))^(-1/N) and b_n = n/(N-beta), chosen
 so that (A_n b_n)^(N/(N-1)) = n / critical_alpha_beta and the gradient norm
-power is exactly 1.  The weighted L^N norm power has the closed form I + II
-with an incomplete-gamma tail, which the quadrature route must reproduce; the
-plateau piece of the exponential functional gives a rigorous lower bound that
-diverges above the critical coefficient and powers the near-critical scan.
+power is exactly 1.  Profiles are stored in t, so an element can be built
+however far its plateau radius e^-b_n lies below the smallest double; only an
+index whose depth overflows the closed forms is refused.  The weighted L^N
+norm power has the closed form I + II with an incomplete-gamma tail, which
+the quadrature route must reproduce; the plateau piece of the exponential
+functional gives a rigorous lower bound that diverges above the critical
+coefficient and powers the near-critical scan.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 from .core import (LogValue, ProblemParams, critical_alpha_beta, log_phi,
@@ -47,36 +49,27 @@ def _constants(n: int, params: ProblemParams):
     if n < 1 or not isinstance(n, int):
         raise DomainError(f"index must be a positive integer, got {n!r}")
     nd = params.dim
-    b_n = n / (nd - params.beta)
+    # the closed forms take (N-gamma) b_n and b_n^(N-1) = omega (A_n b_n)^N
+    try:
+        b_n = n / (nd - params.beta)
+        finite = (math.isfinite((nd - params.gamma) * b_n)
+                  and math.isfinite(b_n ** (nd - 1)))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise DomainError(
+            f"index n={n} is too large for N={nd}, beta={params.beta}, "
+            f"gamma={params.gamma}: the depth n/(N-beta) overflows the "
+            "element's closed forms in double precision")
     a_n = (1.0 / sphere_area(nd)) ** (1.0 / nd) * b_n ** (-1.0 / nd)
     return a_n, b_n
 
 
-def _largest_index(params: ProblemParams) -> int:
-    """Largest n whose plateau radius e^(-n/(N-beta)) is a positive double."""
-    nb = params.dim - params.beta
-    n = math.floor(nb * -math.log(sys.float_info.min * sys.float_info.epsilon))
-    while n > 0 and math.exp(-n / nb) == 0.0:
-        n -= 1
-    while math.exp(-(n + 1) / nb) > 0.0:
-        n += 1
-    return n
-
-
 def build(n: int, params: ProblemParams) -> MoserElement:
-    """The n-th element, un-normalized: plateau A_n b_n down to zero at r = 1.
-
-    Refuses an index whose plateau radius e^(-n/(N-beta)) underflows to 0.
-    """
+    """The n-th element, un-normalized: the cone on t = log r in [-b_n, 0]."""
     a_n, b_n = _constants(n, params)
-    r_0 = math.exp(-b_n)
-    if r_0 == 0.0:
-        raise DomainError(
-            f"the plateau radius e^(-n/(N-beta)) underflows at n={n} for "
-            f"N={params.dim}, beta={params.beta}: the largest index that can "
-            f"be built is {_largest_index(params)}")
     w = weight_norm_closed_form(n, params)
-    profile = RadialProfile([r_0, 1.0], [a_n * b_n, 0.0])
+    profile = RadialProfile(log_radii=[-b_n, 0.0], values=[a_n * b_n, 0.0])
     return MoserElement(index=n, amplitude=a_n, log_depth=b_n,
                         lam=_lam_from_weight(w, params), weight_pow=w,
                         profile=profile, normalized=False)

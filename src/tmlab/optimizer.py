@@ -46,6 +46,16 @@ from .profiles import (RadialProfile, at_normalize, dilated_norms,
                        weighted_lp_pow_cuts)
 
 _CRIT_SLACK = 1e-12
+# the node grid spans these radii geometrically
+_R_MIN = 1e-8
+_R_MAX = 1e3
+# L-BFGS step rule (see _lbfgs_steps), stop tolerance and curvature pairs kept
+_STEP_INIT = 1.0
+_BACKTRACK = 0.5
+_ARMIJO = 1e-4
+_GRAD_TOL = 1e-7
+_STEP_FLOOR = 1e-16
+_LBFGS_MEMORY = 12
 # the dilation polish's golden-section bracket in log(lam) and its stop width
 _POLISH_SPAN = 2.0
 _POLISH_TOL = 1e-7
@@ -56,15 +66,7 @@ class OptimizerConfig:
     """Grid, step rule, stopping rule, and multistart policy."""
 
     node_count: int = 129
-    r_min: float = 1e-8
-    r_max: float = 1e3
     max_iters: int = 200
-    step_init: float = 1.0
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    grad_tol: float = 1e-7
-    step_floor: float = 1e-16
-    lbfgs_memory: int = 12
     moser_starts: tuple = (1, 5, 20)
     random_starts: int = 1
     seed: int = 0
@@ -75,17 +77,9 @@ class OptimizerConfig:
     def __post_init__(self):
         if self.node_count < 8:
             raise ValidationError("need at least 8 grid nodes")
-        if not 0 < self.r_min < self.r_max:
-            raise ValidationError("need 0 < r_min < r_max")
-        for name in ("max_iters", "step_init", "backtrack", "armijo",
-                     "grad_tol", "step_floor", "lbfgs_memory", "polish_rounds",
-                     "quad_tol"):
+        for name in ("max_iters", "polish_rounds", "quad_tol"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
-        if self.backtrack >= 1.0:
-            raise ValidationError("backtrack factor must be < 1")
-        if not self.grad_tol < self.step_init:
-            raise ValidationError("stop tolerance must be below the initial step")
         if self.random_starts < 0:
             raise ValidationError("random_starts must be >= 0")
         if self.seed < 0:
@@ -129,13 +123,7 @@ class MaximizationResult:
 
 
 def _grid(config: OptimizerConfig) -> np.ndarray:
-    return np.geomspace(config.r_min, config.r_max, config.node_count)
-
-
-def _resample(profile: RadialProfile, radii: np.ndarray) -> RadialProfile:
-    values = profile.value_at(radii)
-    values[-1] = 0.0
-    return RadialProfile(radii, values)
+    return np.geomspace(_R_MIN, _R_MAX, config.node_count)
 
 
 def _half_mass_radius(profile: RadialProfile, params: ProblemParams) -> float:
@@ -164,19 +152,20 @@ def starting_profiles(params: ProblemParams, config: OptimizerConfig):
     t = np.log(radii)
     starts = []
     for n in config.moser_starts:
-        starts.append((f"moser-{n}",
-                       _resample(moser.normalized(n, params).profile, radii)))
+        values = moser.normalized(n, params).profile.value_at(radii)
+        values[-1] = 0.0
+        starts.append((f"moser-{n}", RadialProfile.from_radii(radii, values)))
     mid = 0.5 * (t[0] + t[-1])
     width = 0.25 * (t[-1] - t[0])
     bump = np.exp(-((t - mid) / width) ** 2)
     bump[-1] = 0.0
-    starts.append(("bump", RadialProfile(radii, bump)))
+    starts.append(("bump", RadialProfile.from_radii(radii, bump)))
     rng = np.random.default_rng(config.seed)
     envelope = np.sin(np.linspace(0.0, math.pi, radii.size)) ** 2
     for i in range(config.random_starts):
         values = rng.uniform(0.2, 1.0, size=radii.size) * envelope
         values[-1] = 0.0
-        starts.append((f"random-{i}", RadialProfile(radii, values)))
+        starts.append((f"random-{i}", RadialProfile.from_radii(radii, values)))
     return starts
 
 
@@ -192,7 +181,7 @@ def _objective_b(values, radii, params, quad_tol):
     values, radii = np.atleast_2d(values), np.atleast_2d(radii)
     n = params.dim
     out = [(0.0, np.zeros_like(u)) for u in values]
-    profs = [RadialProfile(r, u) for u, r in zip(values, radii)]
+    profs = [RadialProfile.from_radii(r, u) for u, r in zip(values, radii)]
     weights = integrate_batch(profs, [weight_quantity(n, params.gamma, params),
                                       weight_gradient_quantity(params)], quad_tol)
     live = []
@@ -227,7 +216,7 @@ def _objective_a(values, radii, params, quad_tol):
     out = [(0.0, np.zeros_like(u)) for u in values]
     live = []
     for i, (u, r) in enumerate(zip(values, radii)):
-        prof = RadialProfile(r, u)
+        prof = RadialProfile.from_radii(r, u)
         g_pow = grad_norm_pow(prof, params)
         if g_pow > 0.0:
             live.append((i, prof, g_pow, g_pow ** (-1.0 / n)))
@@ -251,7 +240,7 @@ def _objective_a(values, radii, params, quad_tol):
 
 def _functional_values(values, radii, params, quad_tol):
     """J of each profile of a (k, nodes) batch, from one quadrature pass."""
-    profiles = [RadialProfile(r, u) for u, r in zip(values, radii)]
+    profiles = [RadialProfile.from_radii(r, u) for u, r in zip(values, radii)]
     return [j.value for j in functional_log_batch(profiles, params, quad_tol)]
 
 
@@ -293,9 +282,9 @@ def _lbfgs_steps(request, values, config):
     objective(u) = (value, gradient); it returns (u, value, trace, converged).
     Standard two-loop recursion; curvature pairs with nonpositive s.y are
     skipped, and the memory is dropped whenever the pair direction fails to
-    ascend.  Acceptance is an Armijo backtracking test from step_init with the
-    configured backtracking factor; a line search that falls below step_floor
-    ends the run with the convergence flag false.
+    ascend.  Acceptance is an Armijo backtracking test from _STEP_INIT with
+    factor _BACKTRACK; a line search that falls below _STEP_FLOOR ends the
+    run with the convergence flag false.
     """
     u = values.copy()
     value, grad = yield request(u)
@@ -307,7 +296,7 @@ def _lbfgs_steps(request, values, config):
         # ascent gradient respecting the active bound u = 0
         g_free = np.where((u > 0.0) | (grad > 0.0), grad, 0.0)
         g_free[-1] = 0.0
-        if float(np.linalg.norm(g_free)) <= config.grad_tol * (1.0 + abs(value)):
+        if float(np.linalg.norm(g_free)) <= _GRAD_TOL * (1.0 + abs(value)):
             converged = True
             break
         q = g_free.copy()
@@ -328,25 +317,25 @@ def _lbfgs_steps(request, values, config):
             direction = g_free.copy()
         slope = float(direction @ g_free)
 
-        step = config.step_init
+        step = _STEP_INIT
         accepted = False
-        while step >= config.step_floor:
+        while step >= _STEP_FLOOR:
             trial = np.maximum(u + step * direction, 0.0)
             trial[-1] = 0.0
             trial_value, trial_grad = yield request(trial)
-            if trial_value >= value + config.armijo * step * slope:
+            if trial_value >= value + _ARMIJO * step * slope:
                 s = trial - u
                 y = grad - trial_grad  # pair convention for minimizing -R
                 if float(s @ y) > 1e-12 * float(np.linalg.norm(s)) \
                         * float(np.linalg.norm(y)):
                     pairs.append((s, y, 1.0 / float(s @ y)))
-                    if len(pairs) > config.lbfgs_memory:
+                    if len(pairs) > _LBFGS_MEMORY:
                         pairs.pop(0)
                 u, value, grad = trial, trial_value, trial_grad
                 trace.append(value)
                 accepted = True
                 break
-            step *= config.backtrack
+            step *= _BACKTRACK
         if not accepted:
             break
     return u, value, trace, converged
@@ -366,12 +355,12 @@ def _lbfgs_ascend(objective, values, config):
 def _polish_steps(profile, params, value, quad_tol):
     """Golden-section ascent of J over the renormalized dilation family.
 
-    Dilation moves radii, a direction the fixed value grid cannot take, so an
-    exact one-parameter search recovers it; only improvements are kept.  The
-    norms of each dilate come from the profile's own by the exact dilation
-    laws, so a step costs one J value.  A generator of _functional_values
-    requests (see _drive); returns (profile, value), the profile itself when
-    no dilate improves on value.
+    Dilation shifts log-radii, a direction the fixed value grid cannot take,
+    so an exact one-parameter search recovers it; only improvements are kept.
+    The norms of each dilate come from the profile's own by the exact
+    dilation laws, so a step costs one J value.  A generator of
+    _functional_values requests (see _drive); returns (profile, value), the
+    profile itself when no dilate improves on value.
     """
     n = params.dim
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -382,7 +371,7 @@ def _polish_steps(profile, params, value, quad_tol):
         lam = math.exp(s)
         full = dilated_norms(rep, lam, params).full_pow
         return (_functional_values, full ** (-1.0 / n) * profile.values,
-                profile.radii / lam)
+                np.exp(profile.log_radii - s))
 
     a, b = -_POLISH_SPAN, _POLISH_SPAN
     x1 = b - invphi * (b - a)
@@ -409,7 +398,7 @@ def _polish_steps(profile, params, value, quad_tol):
                 best_val, best = f1, p1
     if best_val > value:
         _, values, radii = best
-        return RadialProfile(radii, values), best_val
+        return RadialProfile.from_radii(radii, values), best_val
     return profile, value
 
 
@@ -434,7 +423,7 @@ def _leg(start_id, profile, params, config, mode):
         radii = profile.radii
         values, value, trace, converged = yield from _lbfgs_steps(
             lambda u: (_objective_a, u, radii), profile.values, config)
-        best = RadialProfile(radii, values)
+        best = RadialProfile.from_radii(radii, values)
         g_pow = grad_norm_pow(best, params)
         best = at_normalize(best.scaled(g_pow ** (-1.0 / n)), params,
                             rel_tol=quad_tol)
@@ -452,7 +441,7 @@ def _leg(start_id, profile, params, config, mode):
             values, value, leg, converged = yield from _lbfgs_steps(
                 lambda u: (_objective_b, u, radii), working.values, leg_config)
             trace.extend(leg if not trace else leg[1:])
-            working = RadialProfile(radii, values)
+            working = RadialProfile.from_radii(radii, values)
             rep = norms(working, params, rel_tol=quad_tol)
             working = working.scaled(rep.full_pow ** (-1.0 / n))
             if not config.dilation_polish:

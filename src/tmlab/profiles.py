@@ -1,14 +1,15 @@
 """Radial profiles and the three weighted quantities computed on them.
 
-A profile is a nonnegative radial function stored exactly as
+A profile is a nonnegative radial function stored exactly, in t = log r, as
 
-    u(r) = u_0             for r <= r_0          (plateau)
-    u(r)   affine in log r on [r_i, r_{i+1}]     (segments)
-    u(r) = 0               for r >= r_M          (compact-support tail)
+    u = u_0             for t <= t_0          (plateau)
+    u   affine in t     on [t_i, t_{i+1}]     (segments)
+    u = 0               for t >= t_M          (compact-support tail)
 
 This class is closed under dilation and under the weighted-to-unweighted
-change of functions, and it contains the concentrating log-cone sequences
-exactly, so the gradient norm has a closed form with zero quadrature error.
+change of functions, both affine maps of t, and it contains the concentrating
+log-cone sequences exactly, so the gradient norm has a closed form with zero
+quadrature error.
 The weighted L^p integrals and the exponential functional are integrated
 segment by segment with adaptive Gauss-Kronrod quadrature in t = log r, where
 every integrand is smooth.  Each integrated quantity is written once, as a
@@ -45,42 +46,54 @@ TOL_QUAD = 1e-10
 _RANDOM_T_SPAN = (-7.0, 4.5)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RadialProfile:
-    """Plateau + piecewise-log-affine radial function with compact support."""
+    """Plateau + piecewise-log-affine radial function with compact support.
 
-    radii: np.ndarray
+    Stored in t = log r: node log-radii ``log_radii`` and node ``values``.
+    ``from_radii`` builds one from linear radii; ``radii`` derives them.
+    """
+
+    log_radii: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        radii = np.atleast_1d(np.asarray(self.radii, dtype=float)).copy()
+        t = np.atleast_1d(np.asarray(self.log_radii, dtype=float)).copy()
         values = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
-        if radii.ndim != 1 or values.ndim != 1:
+        if t.ndim != 1 or values.ndim != 1:
             raise ValidationError("radii and values must be one-dimensional")
-        if radii.size != values.size or radii.size == 0:
+        if t.size != values.size or t.size == 0:
             raise ValidationError("radii and values must have equal nonzero length")
-        if not np.all(np.isfinite(radii)) or not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(values)):
             raise ValidationError("radii and values must be finite")
-        if radii[0] <= 0.0 or np.any(np.diff(radii) <= 0.0):
-            raise ValidationError("radii must be strictly increasing and positive")
+        if np.any(np.diff(t) <= 0.0):
+            raise ValidationError("radii must be strictly increasing")
         if np.any(values < 0.0):
             raise ValidationError("node values must be nonnegative")
         if values[-1] != 0.0:
             raise ValidationError("last node value must be 0 (compact support)")
-        radii.setflags(write=False)
+        t.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "radii", radii)
+        object.__setattr__(self, "log_radii", t)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def from_radii(cls, radii, values) -> "RadialProfile":
+        """The profile with nodes at the given positive radii."""
+        radii = np.asarray(radii, dtype=float)
+        if not np.all(radii > 0.0):
+            raise ValidationError("radii must be positive")
+        return cls(log_radii=np.log(radii), values=values)
+
     @cached_property
-    def log_radii(self) -> np.ndarray:
-        t = np.log(self.radii)
-        t.setflags(write=False)
-        return t
+    def radii(self) -> np.ndarray:
+        r = np.exp(self.log_radii)
+        r.setflags(write=False)
+        return r
 
     @property
     def num_nodes(self) -> int:
-        return self.radii.size
+        return self.values.size
 
     @property
     def is_zero(self) -> bool:
@@ -92,20 +105,19 @@ class RadialProfile:
         if np.any(arr < 0):
             raise DomainError("radius must be nonnegative")
         with np.errstate(divide="ignore"):
-            t = np.log(np.atleast_1d(arr))
-        out = np.interp(t, self.log_radii, self.values,
-                        left=self.values[0], right=0.0)
-        out[np.atleast_1d(arr) >= self.radii[-1]] = 0.0
-        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+            # the last node value is 0, so right=0 makes u vanish from it on
+            out = np.interp(np.log(arr), self.log_radii, self.values,
+                            left=self.values[0], right=0.0)
+        return float(out) if arr.ndim == 0 else out
 
     def scaled(self, c: float) -> "RadialProfile":
         """Amplitude scaling c*u, c >= 0."""
         if c < 0:
             raise DomainError("amplitude factor must be nonnegative")
-        return RadialProfile(self.radii, c * self.values)
+        return self.with_values(c * self.values)
 
     def with_values(self, values) -> "RadialProfile":
-        return RadialProfile(self.radii, values)
+        return RadialProfile(log_radii=self.log_radii, values=values)
 
     def to_dict(self) -> dict:
         return {"radii": self.radii.tolist(), "values": self.values.tolist()}
@@ -113,7 +125,7 @@ class RadialProfile:
     @classmethod
     def from_dict(cls, data: dict) -> "RadialProfile":
         try:
-            return cls(np.asarray(data["radii"]), np.asarray(data["values"]))
+            return cls.from_radii(data["radii"], data["values"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed profile object: {exc}") from exc
 
@@ -297,7 +309,8 @@ def weight_quantity(p, delta: float, params: ProblemParams) -> Quantity:
         def finish(b, vals):
             profile = live.profiles[b]
             x = exponents[0] if scalar else exponents[b]
-            plateau = omega * profile.values[0] ** x * profile.radii[0] ** c / c
+            plateau = (omega * profile.values[0] ** x
+                       * math.exp(c * profile.log_radii[0]) / c)
             return plateau + omega * float(vals.sum())
 
         return rows, finish
@@ -313,7 +326,7 @@ def weight_gradient_quantity(params: ProblemParams) -> Quantity:
 
     def plateau(profile):
         return (omega * n * profile.values[0] ** (n - 1)
-                * profile.radii[0] ** c / c)
+                * math.exp(c * profile.log_radii[0]) / c)
 
     return _hat_gradient(params, lambda t, u: n * u ** (n - 1) * np.exp(c * t),
                          plateau)
@@ -381,7 +394,7 @@ def functional_gradient_quantity(params: ProblemParams) -> Quantity:
         u0 = profile.values[0]
         return (omega * phi_derivative(n, alpha * u0 ** q)
                 * alpha * q * u0 ** (q - 1.0)
-                * profile.radii[0] ** c / c)
+                * math.exp(c * profile.log_radii[0]) / c)
 
     return _hat_gradient(params, base, plateau)
 
@@ -498,14 +511,15 @@ def norms_gradient(profile: RadialProfile, params: ProblemParams,
 
 
 def dilate(profile: RadialProfile, lam: float) -> RadialProfile:
-    """Dilation u_lam(x) = u(lam x): radii divided by lam, values unchanged.
+    """Dilation u_lam(x) = u(lam x): log-radii minus log(lam), values unchanged.
 
     Leaves the gradient norm power invariant and scales the weighted norm
     power by lam^-(N - gamma).
     """
     if not (lam > 0 and math.isfinite(lam)):
         raise DomainError(f"dilation factor must be a positive real, got {lam}")
-    return RadialProfile(profile.radii / lam, profile.values)
+    return RadialProfile(log_radii=profile.log_radii - math.log(lam),
+                         values=profile.values)
 
 
 def dilated_norms(report: NormReport, lam: float,
@@ -539,4 +553,4 @@ def random_profile(rng: np.random.Generator, n_nodes: int = 10,
     t = t_lo + (t_hi - t_lo) * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
     values = rng.uniform(0.0, vmax, size=n_nodes)
     values[-1] = 0.0
-    return RadialProfile(np.exp(t), values)
+    return RadialProfile(log_radii=t, values=values)

@@ -14,11 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .core import ProblemParams
 from .errors import DomainError
 from .profiles import RadialProfile, functional_log_batch
+
 
 @dataclass(frozen=True)
 class TransformSpec:
@@ -47,7 +46,7 @@ class TransformSpec:
 
     @property
     def log_radius_prefactor(self) -> float:
-        """log of kappa = shrink^(N/(N-gamma)); kept in logs to dodge overflow."""
+        """log of kappa = shrink^(N/(N-gamma)), the shift of the map in t."""
         return self.radius_power * math.log(self.shrink)
 
     @property
@@ -64,50 +63,24 @@ class TransformSpec:
         return alpha / self.shrink
 
 
-def radius_map(r, spec: TransformSpec):
-    """|F(x)| for |x| = r: kappa * r^(N/(N-gamma)), a bijection of (0, inf)."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("radius must be positive")
-    out = np.exp(spec.log_radius_prefactor + spec.radius_power * np.log(arr))
-    return float(out) if arr.ndim == 0 else out
-
-
-def radius_map_inverse(r, spec: TransformSpec):
-    """Preimage radius: solves radius_map(r') = r, computed in log space."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("radius must be positive")
-    out = np.exp((np.log(arr) - spec.log_radius_prefactor) / spec.radius_power)
-    return float(out) if arr.ndim == 0 else out
-
-
-def jacobian_det(r, spec: TransformSpec):
-    """det DF at radius r: shrink^(N-1) * radius_map(r)^gamma."""
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0):
-        raise DomainError("radius must be positive")
-    log_det = ((spec.dim - 1.0) * math.log(spec.shrink)
-               + spec.gamma * (spec.log_radius_prefactor
-                               + spec.radius_power * np.log(arr)))
-    out = np.exp(log_det)
-    return float(out) if arr.ndim == 0 else out
-
-
 def push_profile(u: RadialProfile, spec: TransformSpec) -> RadialProfile:
-    """The transformed profile v with v(|x|) = amplitude * u(radius_map(|x|)).
+    """The transformed profile v with v(r) = amplitude * u(kappa * r^p).
 
-    Node radii are the preimages of u's radii, node values are scaled by the
-    amplitude factor; segments stay log-affine, so the mapping is exact.
+    In t = log r the radial map is t -> log(kappa) + p t, p = N/(N - gamma),
+    so v's nodes sit at the preimages (t - log(kappa))/p of u's and its values
+    are u's times the amplitude factor; segments stay affine in t, so the
+    mapping is exact.
     """
-    return RadialProfile(radius_map_inverse(u.radii, spec),
-                         spec.amplitude_factor * u.values)
+    return RadialProfile(
+        log_radii=(u.log_radii - spec.log_radius_prefactor) / spec.radius_power,
+        values=spec.amplitude_factor * u.values)
 
 
 def pull_profile(v: RadialProfile, spec: TransformSpec) -> RadialProfile:
-    """Exact inverse of push_profile."""
-    return RadialProfile(radius_map(v.radii, spec),
-                         v.values / spec.amplitude_factor)
+    """Exact inverse of push_profile: t -> log(kappa) + p t."""
+    return RadialProfile(
+        log_radii=spec.log_radius_prefactor + spec.radius_power * v.log_radii,
+        values=v.values / spec.amplitude_factor)
 
 
 def transformed_params(params: ProblemParams) -> ProblemParams:

@@ -118,7 +118,7 @@ class TestTheorem13Transport:
 
     def test_degenerate_inputs_rejected(self):
         params = make_params((2, 0.0, 0.0))
-        z = RadialProfile([1.0], [0.0])
+        z = RadialProfile.from_radii([1.0], [0.0])
         with pytest.raises(DegenerateInputError):
             theorem13_transport(z, params)
         # a feasible profile with unit gradient norm cannot exist (its weight
@@ -271,4 +271,4 @@ class TestMomentRatioTable:
     def test_zero_profile_rejected(self):
         params = make_params((2, 0.5, 0.5))
         with pytest.raises(DegenerateInputError):
-            moment_ratio_table(RadialProfile([1.0], [0.0]), 1.0, params)
+            moment_ratio_table(RadialProfile.from_radii([1.0], [0.0]), 1.0, params)

@@ -22,7 +22,7 @@ def invoke(tmp_path, name, *argv, output=None):
 class TestEval:
     def test_zero_profile(self, tmp_path):
         pfile = tmp_path / "zero.json"
-        pfile.write_text(RadialProfile([1.0], [0.0]).to_json())
+        pfile.write_text(RadialProfile.from_radii([1.0], [0.0]).to_json())
         rc, out = invoke(tmp_path, "eval", "--dim", "2", "--alpha", "1.0",
                          "--beta", "0", "--gamma", "0", "--profile", str(pfile))
         assert rc == 0
@@ -69,7 +69,7 @@ class TestEval:
 
     def test_infeasible_params_exit_3(self, tmp_path):
         pfile = tmp_path / "zero.json"
-        pfile.write_text(RadialProfile([1.0], [0.0]).to_json())
+        pfile.write_text(RadialProfile.from_radii([1.0], [0.0]).to_json())
         rc = run(["eval", "--dim", "2", "--alpha", "1.0", "--beta", "3.0",
                   "--gamma", "0", "--profile", str(pfile)])
         assert rc == 3
@@ -125,16 +125,19 @@ class TestMoser:
         for line in lines[1:]:
             assert abs(float(line.split(",")[4]) - 1.0) < 1e-12
 
-    def test_plateau_underflow_exit_3(self, capsys):
-        # e^(-n/(N-beta)) is 0 in doubles from n = 75 on at N=2, beta=1.9
-        argv = ["moser", "--dim", "2", "--alpha-ratio", "0.5", "--beta", "1.9",
-                "--gamma", "0"]
-        assert run(argv + ["--n-max", "74"]) == 0
-        capsys.readouterr()
-        assert run(argv + ["--n-max", "75"]) == 3
-        err = capsys.readouterr().err
-        assert "underflows at n=75 for N=2, beta=1.9" in err
-        assert "largest index that can be built is 74" in err
+    def test_plateau_radius_underflow_exit_0(self, tmp_path):
+        # e^(-n/(N-beta)) is 0 in doubles from n = 75 on at N=2, beta=1.9;
+        # the elements are stored in t = log r, so the table is built anyway
+        rc, out = invoke(tmp_path, "moser", "--dim", "2", "--alpha-ratio", "0.5",
+                         "--beta", "1.9", "--gamma", "0", "--n-max", "200",
+                         "--format", "json")
+        assert rc == 0
+        doc = json.loads(out.read_text())
+        rows = [dict(zip(doc["columns"], row)) for row in doc["rows"]]
+        assert [r["n"] for r in rows] == list(range(1, 201))
+        for r in rows:
+            assert abs(r["grad_pow"] - 1.0) <= 1e-12
+            assert r["rel_err"] <= 1e-8
 
     def test_bad_range_exit_2(self):
         rc = run(["moser", "--dim", "2", "--alpha", "1.0", "--beta", "0",
@@ -303,6 +306,13 @@ class TestConfigHandling:
             assert (f"index must be a positive integer, got {index}"
                     in capsys.readouterr().err)
 
+    def test_moser_index_without_finite_depth_exit_3(self, capsys):
+        # n/(N-beta) of a 400-digit index is no finite double
+        index = str(10 ** 400)
+        assert run(["eval", "--dim", "2", "--alpha-ratio", "0.5", "--beta",
+                    "1.9", "--gamma", "0", "--moser-index", index]) == 3
+        assert f"error: index n={index} is too large" in capsys.readouterr().err
+
     def test_jobs_flag_does_not_change_output(self, tmp_path):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"optimizer": LIGHT_OPT}))
@@ -326,7 +336,7 @@ class TestWrongTypedConfig:
         "optimize": [{"alpha": "x"}, {"alpha_ratio": {}}],
         "moser": [{"n_min": "x"}, {"n_max": 1e400}],
         "relation": [{"alpha_count": "x"}, {"alpha_ratios": [0.5, "x"]},
-                     {"jobs": "x"}],
+                     {"jobs": "x"}, {"jobs": 0}],
         "asymptotic": [{"alpha_ratios": "0.5,0.9"}, {"alpha_ratios": [None]}],
         "orbit": [{"moser_index": [3]}, {"beta": None}],
         "transform-check": [{"count": "x"}],
@@ -344,12 +354,6 @@ class TestWrongTypedConfig:
             assert run([command, "--config", str(cfgfile)]) == 2, bad
             err = capsys.readouterr().err
             assert err.startswith(f"error: {key} must be "), err
-
-    def test_jobs_environment_exit_2(self, monkeypatch, capsys):
-        monkeypatch.setenv("TMLAB_JOBS", "two")
-        assert run(["moser", "--dim", "2", "--alpha-ratio", "0.5",
-                    "--beta", "0", "--gamma", "0", "--n-max", "2"]) == 2
-        assert "TMLAB_JOBS must be an integer" in capsys.readouterr().err
 
 
 class TestRunRepeatedInOneProcess:

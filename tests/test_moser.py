@@ -11,7 +11,7 @@ from tmlab.moser import (asymptotic_lower_scan, build, normalized,
                          plateau_lower_bound, select_index,
                          weight_norm_closed_form, weight_norm_limit)
 
-from conftest import assert_rel_close, make_params
+from conftest import MATRIX, assert_rel_close, make_params
 
 
 class TestBuild:
@@ -42,13 +42,31 @@ class TestBuild:
         params = make_params(cell)
         elem = build(12, params)
         assert elem.profile.num_nodes == 2
-        assert elem.profile.radii[1] == 1.0
-        assert_rel_close(elem.profile.radii[0], math.exp(-elem.log_depth), 1e-15)
+        # stored in t = log r: the cone runs from t = -b_n to t = 0
+        assert np.array_equal(elem.profile.log_radii, [-elem.log_depth, 0.0])
         assert elem.profile.values[0] == elem.amplitude * elem.log_depth
 
     def test_rejects_bad_index(self):
         with pytest.raises(DomainError):
             build(0, make_params((2, 0.0, 0.0)))
+        # no finite double depth n/(N-beta): refused, naming the index
+        with pytest.raises(DomainError, match=r"index n=10{400} is too large"):
+            build(10 ** 400, make_params((2, 0.0, 0.0)))
+
+    @pytest.mark.parametrize("cell", MATRIX + [(2, 1.9, 0.0)], ids=str)
+    def test_index_far_beyond_plateau_underflow(self, cell):
+        # e^(-b_n) is 0 in doubles long before n = 10^5 (from n = 75 at
+        # beta = 1.9), but the cone is stored in t and still integrates
+        params = make_params(cell, alpha_ratio=1.0)
+        n = 10 ** 5
+        elem = build(n, params)
+        assert math.exp(elem.profile.log_radii[0]) == 0.0
+        quadded = weighted_lp_pow(elem.profile, params.dim, params.gamma, params)
+        assert_rel_close(quadded, weight_norm_closed_form(n, params), 1e-8)
+        assert grad_norm_pow(elem.profile, params) == pytest.approx(1.0, abs=1e-12)
+        log_j = functional_log(normalized(n, params).profile, params).log
+        assert math.isfinite(log_j)
+        assert log_j >= plateau_lower_bound(n, params).log
 
 
 class TestWeightNormClosedForm:

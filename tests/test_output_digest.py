@@ -21,7 +21,8 @@ def _load_tool():
 
 
 def _few(op):
-    # two quick evals and the moser run that is refused with exit 3
+    # two quick evals and the moser run at beta = 1.9, whose plateau radius
+    # e^(-n/(N-beta)) underflows from n = 75 on
     return (op.cls == "moser_underflow"
             or (op.cls == "eval" and op.argv[-1] in ("25", "50")
                 and op.argv[2] == "2" and op.argv[4] == "0.0"))
@@ -31,13 +32,11 @@ def test_digest_lines():
     tool = _load_tool()
     lines = tool.digest_lines("family", 3, select=_few)
     records = [json.loads(line) for line in lines]
-    assert [r["exit"] for r in records] == [0, 0, 3]
-    for r in records[:2]:
+    assert [r["exit"] for r in records] == [0, 0, 0]
+    for r in records:
         assert len(r["sha256"]) == 64 and r["stderr"] == "" and r["warnings"] == []
-        assert r["op"].startswith("eval ") and "--seed 3 --jobs 1" in r["op"]
-    refused = records[2]
-    assert refused["sha256"] is None
-    assert refused["stderr"].startswith("error: the plateau radius")
+        assert "--seed 3 --jobs 1" in r["op"]
+    assert [r["op"].split()[0] for r in records] == ["eval", "eval", "moser"]
     # no run's temporary directory reaches a line
     assert all(r["op"].endswith("--output <tmp>") for r in records)
     # the same checkout gives the same lines

@@ -24,7 +24,7 @@ from conftest import (MATRIX, assert_rel_close, finite_difference_gradient,
                       gradient_rel_error, make_params, oracle_functional,
                       oracle_weighted_lp, random_profile)
 
-ZERO = RadialProfile([1.0], [0.0])
+ZERO = RadialProfile.from_radii([1.0], [0.0])
 
 
 def _all_quantities(params):
@@ -61,28 +61,36 @@ def _as_array(result):
 
 
 class TestRadialProfileValidation:
+    def test_fields_keyword_only(self):
+        # an old positional (radii, values) call fails instead of taking
+        # radii for log-radii
+        with pytest.raises(TypeError):
+            RadialProfile([1.0, 2.0], [1.0, 0.0])
+        p = RadialProfile(log_radii=[0.0, 1.0], values=[1.0, 0.0])
+        assert np.array_equal(p.radii, np.exp([0.0, 1.0]))
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValidationError):
-            RadialProfile([], [])
+            RadialProfile.from_radii([], [])
         with pytest.raises(ValidationError):
-            RadialProfile([1.0, 2.0], [1.0])
+            RadialProfile.from_radii([1.0, 2.0], [1.0])
 
     def test_rejects_nonincreasing_radii(self):
         with pytest.raises(ValidationError):
-            RadialProfile([1.0, 1.0], [1.0, 0.0])
+            RadialProfile.from_radii([1.0, 1.0], [1.0, 0.0])
         with pytest.raises(ValidationError):
-            RadialProfile([2.0, 1.0], [1.0, 0.0])
+            RadialProfile.from_radii([2.0, 1.0], [1.0, 0.0])
         with pytest.raises(ValidationError):
-            RadialProfile([-1.0, 1.0], [1.0, 0.0])
+            RadialProfile.from_radii([-1.0, 1.0], [1.0, 0.0])
 
     def test_rejects_negative_values_and_open_tail(self):
         with pytest.raises(ValidationError):
-            RadialProfile([1.0, 2.0], [-0.5, 0.0])
+            RadialProfile.from_radii([1.0, 2.0], [-0.5, 0.0])
         with pytest.raises(ValidationError):
-            RadialProfile([1.0, 2.0], [1.0, 0.5])
+            RadialProfile.from_radii([1.0, 2.0], [1.0, 0.5])
 
     def test_value_at(self):
-        p = RadialProfile([1.0, math.e], [2.0, 0.0])
+        p = RadialProfile.from_radii([1.0, math.e], [2.0, 0.0])
         assert p.value_at(0.0) == 2.0
         assert p.value_at(0.5) == 2.0
         assert p.value_at(math.e) == 0.0
@@ -110,7 +118,7 @@ class TestGradNormPow:
         # plateau 1 to r0, one segment down to 0 at r1, N=2
         params = make_params((2, 0.0, 0.0))
         r0, r1 = 0.5, 4.0
-        p = RadialProfile([r0, r1], [1.0, 0.0])
+        p = RadialProfile.from_radii([r0, r1], [1.0, 0.0])
         expected = 2 * math.pi / math.log(r1 / r0)
         assert_rel_close(grad_norm_pow(p, params), expected, 1e-14)
 
@@ -142,7 +150,7 @@ class TestWeightedLpPow:
         # u = 1 on [0,1], one segment to 0 at r = e; p = 2, N = 2, gamma = 0:
         # 2 pi (1/2 + int_0^1 (1-t)^2 e^(2t) dt), second term by quadrature oracle
         params = make_params((2, 0.0, 0.0))
-        p = RadialProfile([1.0, math.e], [1.0, 0.0])
+        p = RadialProfile.from_radii([1.0, math.e], [1.0, 0.0])
         inner, _ = quad(lambda t: (1 - t) ** 2 * math.exp(2 * t), 0.0, 1.0,
                         epsabs=1e-14, epsrel=1e-12)
         expected = 2 * math.pi * (0.5 + inner)
@@ -173,8 +181,8 @@ class TestWeightedLpPow:
         # no tolerance below round-off is reachable: every live segment runs
         # into the panel cap, and integrate_segments alone reports it
         params = make_params((2, 0.0, 0.0))
-        p = RadialProfile([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
-        q = RadialProfile([0.5, 3.0], [2.0, 0.0])
+        p = RadialProfile.from_radii([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
+        q = RadialProfile.from_radii([0.5, 3.0], [2.0, 0.0])
         for call, capped in (
                 (lambda: weighted_lp_pow(p, 2.0, 0.0, params, rel_tol=1e-30), 2),
                 (lambda: integrate_batch([p], _all_quantities(params),
@@ -248,7 +256,7 @@ class TestFunctional:
     def test_log_scale_blowup_regime(self):
         # plateau value large enough that exp overflows linear doubles
         params = ProblemParams(2, 4 * math.pi, 0.0, 0.0)
-        p = RadialProfile([1.0, 2.0], [16.0, 0.0])
+        p = RadialProfile.from_radii([1.0, 2.0], [16.0, 0.0])
         lv = functional_log(p, params)
         assert lv.saturated
         assert lv.value == math.inf
@@ -260,12 +268,11 @@ class TestFunctional:
         rng = np.random.default_rng(29)
         p = random_profile(rng)
         # insert a collinear-in-log-r node in the middle of segment 3
-        t = np.log(p.radii)
+        t = p.log_radii
         tm = 0.5 * (t[3] + t[4])
         um = p.values[3] + (p.values[4] - p.values[3]) * 0.5
-        radii2 = np.insert(p.radii, 4, math.exp(tm))
-        values2 = np.insert(p.values, 4, um)
-        p2 = RadialProfile(radii2, values2)
+        p2 = RadialProfile(log_radii=np.insert(t, 4, tm),
+                           values=np.insert(p.values, 4, um))
         assert_rel_close(functional(p, params), functional(p2, params), 1e-10)
         assert_rel_close(
             weighted_lp_pow(p, params.dim, params.gamma, params),
@@ -344,9 +351,9 @@ class TestDilate:
         p = random_profile(rng)
         for lam in (0.2, 1.7, 30.0):
             q = dilate(p, lam)
-            # exact on the representation: radii scale, values untouched
+            # exact on the representation: log-radii shift, values untouched
             assert np.array_equal(q.values, p.values)
-            assert np.array_equal(q.radii, p.radii / lam)
+            assert np.array_equal(q.log_radii, p.log_radii - math.log(lam))
             assert_rel_close(grad_norm_pow(q, params),
                              grad_norm_pow(p, params), 5e-14)
             n, g = params.dim, params.gamma
@@ -434,8 +441,8 @@ class TestFusedPass:
     def test_refining_profile_within_rel_tol(self, case, monkeypatch):
         if case == "peak":
             params = make_params((2, 0.0, 0.0), alpha_ratio=1.0)
-            p = RadialProfile(np.exp([-3.0, -1.0, 0.0, 1.0, 3.0]),
-                              [0.5, 1.0, 2.5, 1.0, 0.0])
+            p = RadialProfile(log_radii=[-3.0, -1.0, 0.0, 1.0, 3.0],
+                              values=[0.5, 1.0, 2.5, 1.0, 0.0])
         else:
             params = make_params((3, 1.0, 0.5), alpha_ratio=0.9)
             p = dict(starting_profiles(params, OptimizerConfig(node_count=65)))[
@@ -499,8 +506,8 @@ class TestBatch:
     def test_cuts_match_truncated_profiles(self, cell):
         params = make_params(cell)
         rng = np.random.default_rng(23)
-        gappy = RadialProfile(np.exp(np.linspace(-4.0, 3.0, 9)),
-                              [1.0, 0.0, 0.0, 2.0, 0.5, 0.0, 1.5, 0.3, 0.0])
+        gappy = RadialProfile(log_radii=np.linspace(-4.0, 3.0, 9),
+                              values=[1.0, 0.0, 0.0, 2.0, 0.5, 0.0, 1.5, 0.3, 0.0])
         for p in (random_profile(rng), random_profile(rng, n_nodes=4), gappy,
                   normalized(5, params).profile):
             n, g = params.dim, params.gamma

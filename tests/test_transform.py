@@ -5,11 +5,10 @@ import pytest
 
 from tmlab import (ProblemParams, RadialProfile, critical_alpha_beta,
                    functional, grad_norm_pow, norms, weighted_lp_pow)
-from tmlab.errors import DomainError
+from tmlab.errors import ValidationError
 from tmlab.transform import (TransformSpec, integral_identity_factor,
-                             jacobian_det, pull_profile, push_profile,
-                             radius_map, radius_map_inverse,
-                             transformed_params, verify_integral_identity,
+                             pull_profile, push_profile, transformed_params,
+                             verify_integral_identity,
                              verify_integral_identity_batch)
 
 from conftest import assert_rel_close, make_params, random_profile
@@ -19,41 +18,60 @@ def spec_for(cell):
     return TransformSpec.from_params(make_params(cell))
 
 
+def _profile_at(t):
+    """A profile with nodes at log-radii t, values falling from 1 to 0."""
+    return RadialProfile(log_radii=t, values=np.linspace(1.0, 0.0, len(t)))
+
+
+def jacobian_det(r, spec):
+    """det DF at radius r: shrink^(N-1) * (kappa r^(N/(N-gamma)))^gamma."""
+    return math.exp((spec.dim - 1.0) * math.log(spec.shrink)
+                    + spec.gamma * (spec.log_radius_prefactor
+                                    + spec.radius_power * math.log(r)))
+
+
 class TestRadiusMap:
+    # the radial map r -> kappa r^(N/(N-gamma)) acts on log-radii as
+    # t -> log(kappa) + p t: pull_profile moves nodes by it, push by its inverse
     def test_identity_when_unweighted(self):
         spec = TransformSpec(dim=3, gamma=0.0)
-        for r in (0.1, 1.0, 17.0):
-            assert radius_map(r, spec) == pytest.approx(r, rel=1e-15)
+        t = np.log([0.1, 1.0, 17.0])
+        assert np.array_equal(pull_profile(_profile_at(t), spec).log_radii, t)
+        assert np.array_equal(push_profile(_profile_at(t), spec).log_radii, t)
 
     def test_two_dim_gamma_one(self):
         spec = TransformSpec(dim=2, gamma=1.0)
         # (1/2)^2 * 4^2 = 4
-        assert radius_map(4.0, spec) == pytest.approx(4.0, rel=1e-14)
+        t = pull_profile(_profile_at([math.log(4.0), 2.0]), spec).log_radii
+        assert t[0] == pytest.approx(math.log(4.0), rel=1e-14)
 
     def test_roundtrip(self, cell):
         spec = spec_for(cell)
-        r = np.geomspace(1e-8, 1e6, 40)
-        back = radius_map_inverse(radius_map(r, spec), spec)
-        assert np.allclose(back, r, rtol=1e-14)
+        t = np.linspace(math.log(1e-8), math.log(1e6), 40)
+        back = push_profile(pull_profile(_profile_at(t), spec), spec).log_radii
+        assert np.allclose(back, t, rtol=0.0, atol=1e-14)
 
     def test_monotone_bijection(self, cell):
         spec = spec_for(cell)
-        r = np.geomspace(1e-6, 1e4, 50)
-        assert np.all(np.diff(radius_map(r, spec)) > 0)
+        t = np.linspace(math.log(1e-6), math.log(1e4), 50)
+        assert np.all(np.diff(pull_profile(_profile_at(t), spec).log_radii) > 0)
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            radius_map(0.0, TransformSpec(2, 0.5))
+        # linear radii enter only through from_radii, which refuses r <= 0
+        for radii in ([0.0, 1.0], [-1.0, 1.0]):
+            with pytest.raises(ValidationError):
+                RadialProfile.from_radii(radii, [1.0, 0.0])
 
 
 class TestJacobianDet:
+    # the determinant the integral identity's factor is built from
     def test_identity_when_unweighted(self):
         spec = TransformSpec(dim=4, gamma=0.0)
         assert jacobian_det(3.3, spec) == pytest.approx(1.0, rel=1e-15)
 
     def test_two_dim_gamma_one(self):
         spec = TransformSpec(dim=2, gamma=1.0)
-        # (1/2) * radius_map(4) = 2
+        # (1/2) * (kappa 4^2) = (1/2) * 4 = 2
         assert jacobian_det(4.0, spec) == pytest.approx(2.0, rel=1e-14)
 
     def test_matches_fd_determinant_of_full_jacobian(self, cell):
@@ -86,7 +104,7 @@ class TestPushPull:
         rng = np.random.default_rng(7)
         p = random_profile(rng)
         v = push_profile(p, spec)
-        assert np.allclose(v.radii, p.radii, rtol=1e-15)
+        assert np.array_equal(v.log_radii, p.log_radii)
         assert np.array_equal(v.values, p.values)
 
     def test_gradient_norm_preserved_exactly(self, cell):
@@ -117,7 +135,7 @@ class TestPushPull:
         for _ in range(20):
             p = random_profile(rng)
             q = pull_profile(push_profile(p, spec), spec)
-            assert np.allclose(q.radii, p.radii, rtol=1e-14)
+            assert np.allclose(q.log_radii, p.log_radii, rtol=0.0, atol=1e-14)
             assert np.allclose(q.values, p.values, rtol=1e-14)
         # the recomputed norm report survives the roundtrip
         p = random_profile(rng)
@@ -157,7 +175,7 @@ class TestIntegralIdentity:
 
     def test_zero_profile(self, cell):
         params = make_params(cell)
-        z = RadialProfile([1.0], [0.0])
+        z = RadialProfile.from_radii([1.0], [0.0])
         assert verify_integral_identity(z, params) == 0.0
 
     def test_batch_of_pushed_profiles_matches_singles(self, cell):
@@ -166,7 +184,7 @@ class TestIntegralIdentity:
         params = make_params(cell, alpha_ratio=0.5)
         spec = TransformSpec.from_params(params)
         rng = np.random.default_rng(31)
-        us = [random_profile(rng) for _ in range(4)] + [RadialProfile([1.0], [0.0])]
+        us = [random_profile(rng) for _ in range(4)] + [RadialProfile.from_radii([1.0], [0.0])]
         vs = [push_profile(u, spec) for u in us]
         assert verify_integral_identity_batch(us, vs, params) \
             == [verify_integral_identity(u, params) for u in us]
