@@ -25,8 +25,8 @@ from .profiles import (RadialProfile, dilate, functional, functional_log_batch,
 from .report import ScanTable
 
 _FEAS_TOL = 1e-8
-# even moments of the orbit series integrated per quadrature pass
-_MOMENT_CHUNK = 24
+# even moments of the orbit series summed per call
+_MOMENT_CHUNK = 12
 # orbit_derivative: most series terms, their truncation tolerance, FD step in tau
 _ORBIT_J_MAX = 200
 _ORBIT_TERM_TOL = 1e-14
@@ -313,20 +313,20 @@ def orbit_derivative(v: RadialProfile, alpha: float,
     log_fact = 0.0
     saturated = False
     quiet = 0
-    moments = []
+    log_moments = []
     j = 0
     while j < _ORBIT_J_MAX:
         j += 1
-        if j > len(moments):
-            exponents = [2.0 * i for i in
+        if j > len(log_moments):
+            exponents = [2 * i for i in
                          range(j, min(j + _MOMENT_CHUNK, _ORBIT_J_MAX + 1))]
-            moments += weighted_lp_pow_batch([v] * len(exponents), exponents,
-                                             beta, params)
+            log_moments += list(weighted_lp_pow_batch(
+                [v] * len(exponents), exponents, beta, params, log=True))
         log_fact += math.log(j)
-        m2j = moments[j - 1]
-        if m2j == 0.0:
+        log_m2j = float(log_moments[j - 1])
+        if log_m2j == -math.inf:
             break
-        term = math.exp(j * log_alpha - log_fact + math.log(m2j)) \
+        term = math.exp(j * log_alpha - log_fact + log_m2j) \
             * (1.0 - beta / 2.0) * (-a_pow + (j - 1.0) * b_pow)
         terms.append(term)
         total += term
@@ -344,12 +344,12 @@ def orbit_derivative(v: RadialProfile, alpha: float,
         saturated = True
 
     # J(orbit(tau)) at tau = 1 +- h and 1 +- h/2, each profile scaled onto
-    # the unit sphere: one pass for the four weight norms, one for the four J
+    # the unit sphere: the four weight norms in closed form, one pass for the
+    # four J
     at_alpha = replace(params, alpha=alpha)
     steps = (_ORBIT_FD_STEP, _ORBIT_FD_STEP / 2.0)
     moved = [_orbit_profile(v, 1.0 + sign * h) for h in steps for sign in (1, -1)]
-    weights = weighted_lp_pow_batch(moved, params.dim, params.gamma, at_alpha,
-                                    rel_tol=1e-12)
+    weights = weighted_lp_pow_batch(moved, params.dim, params.gamma, at_alpha)
     on_sphere = [m.scaled((grad_norm_pow(m, at_alpha) + w) ** (-0.5))
                  for m, w in zip(moved, weights)]
     j_vals = [lv.value for lv in functional_log_batch(on_sphere, at_alpha,
@@ -386,10 +386,10 @@ def moment_ratio_table(v: RadialProfile, alpha_tilde: float,
                                 "empirical constant",
                                 f"alpha_tilde={alpha_tilde!r}"])
     js = range(2, j_max + 1)
-    moments = weighted_lp_pow_batch([v] * len(js), [2.0 * j for j in js],
-                                    params.beta, params)
-    for j, m2j in zip(js, moments):
-        log_ratio = (math.log(m2j) + j * math.log(alpha_tilde)
+    log_moments = weighted_lp_pow_batch([v] * len(js), [2 * j for j in js],
+                                        params.beta, params, log=True)
+    for j, log_m2j in zip(js, log_moments):
+        log_ratio = (float(log_m2j) + j * math.log(alpha_tilde)
                      - math.lgamma(j + 1.0) - (j - 1.0) * log_a - log_b)
         table.append(j, math.exp(log_ratio))
     return table

@@ -190,7 +190,7 @@ def cmd_moser(cfg: dict) -> int:
                  "weight_closed_form", "weight_quadrature", "rel_err",
                  "plateau_lower_bound_log"),
         comments=["concentrating-family table",
-                  "weight columns: closed form vs adaptive quadrature"])
+                  "weight columns: Moser closed form vs segment closed form"])
     elems = [moser.build(n, params) for n in range(n_min, n_max + 1)]
     quadded = weighted_lp_pow_batch([e.profile for e in elems], params.dim,
                                     params.gamma, params)

@@ -12,20 +12,20 @@ scaling laws:
 On these fixed-coordinate objectives a box-projected L-BFGS ascent with an
 Armijo backtracking line search is valid and fast; the grid's zero lower
 bound is the only constraint left.  Mode B additionally interleaves rounds
-with an exact golden-section polish along the dilation family, the direction
-a fixed value grid cannot represent.  Multistarts (concentrating elements, a
-broad bump, seeded noise) are merged by best value.  Everything is
-deterministic under a fixed config and seed.
+with a polish along the dilation family, the direction a fixed value grid
+cannot represent: Brent's bounded search on J.  Multistarts (concentrating
+elements, a broad bump, seeded noise) are merged by best value.  Everything
+is deterministic under a fixed config and seed.
 
 The multistart legs run in lock step.  Each leg is a generator that yields
 its next evaluation request: a mode-A objective, a mode-B objective, or one
 J value of the dilation polish.  At every step _drive groups the pending
 requests of all legs by kind and node count and answers each group with one
-batched call, so a step costs one quadrature pass per mode-A group, two per
-mode-B group and one per group of polish values, whatever the number of
-legs.  integrate_batch gives each profile the same bits as a batch of one,
-so every leg computes exactly what it computes alone; an executor pool runs
-the legs one at a time through _ascend and returns the same result.
+batched call.  The norms are closed forms, so a step costs one quadrature
+pass per group, whatever the number of legs.  The batch functions of
+profiles give each profile the same bits as a batch of one, so every leg
+computes exactly what it computes alone; an executor pool runs the legs one
+at a time through _ascend and returns the same result.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import moser
-from .core import ProblemParams, critical_alpha_beta
+from .core import ProblemParams, critical_alpha_beta, sphere_area
 from .errors import SupercriticalError, ValidationError
 from .profiles import (RadialProfile, at_normalize, dilated_norms,
-                       functional_gradient_quantity, functional_log_batch,
-                       functional_quantity, grad_norm_pow,
-                       grad_norm_pow_gradient, integrate_batch, norms,
-                       weight_gradient_quantity, weight_quantity,
-                       weighted_lp_pow_cuts)
+                       functional_log_batch, grad_norm_pow,
+                       grad_norm_pow_gradient, norms, segment_weights,
+                       weight_norm_batch)
 
 _CRIT_SLACK = 1e-12
 # the node grid spans these radii geometrically
@@ -56,7 +54,7 @@ _ARMIJO = 1e-4
 _GRAD_TOL = 1e-7
 _STEP_FLOOR = 1e-16
 _LBFGS_MEMORY = 12
-# the dilation polish's golden-section bracket in log(lam) and its stop width
+# the dilation polish's bracket in log(lam) and its stop width
 _POLISH_SPAN = 2.0
 _POLISH_TOL = 1e-7
 
@@ -130,16 +128,19 @@ def _half_mass_radius(profile: RadialProfile, params: ProblemParams) -> float:
     """Radius enclosing half of the weighted L^N mass; the spread diagnostic."""
     if profile.is_zero:
         return math.nan
-    total, cut = weighted_lp_pow_cuts(profile, params.dim, params.gamma, params)
-    radii = profile.radii
-    lo, hi = 0, radii.size - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if cut(mid) >= 0.5 * total:
-            hi = mid
-        else:
-            lo = mid
-    return float(radii[hi])
+    t, u = profile.log_radii, profile.values
+    n, gamma = params.dim, params.gamma
+    plateau = (sphere_area(n) * u[0] ** n * math.exp((n - gamma) * t[0])
+               / (n - gamma))
+    segments = segment_weights(t[:-1], t[1:], u[:-1], u[1:], n, gamma, params)
+    ramps = segment_weights(t[:-1], t[1:], u[:-1], np.zeros(t.size - 1), n,
+                            gamma, params)
+    # cuts[m - 1] is the mass of the profile with values[m:] set to 0: the
+    # plateau, segments 0..m-2 and segment m-1 ramped down to 0; it grows
+    # with m, and the last cut is the profile itself
+    cuts = plateau + np.concatenate([[0.0], np.cumsum(segments[:-1])]) + ramps
+    m = 1 + int(np.searchsorted(cuts, 0.5 * cuts[-1]))
+    return float(profile.radii[m])
 
 
 def starting_profiles(params: ProblemParams, config: OptimizerConfig):
@@ -173,26 +174,25 @@ def _objective_b(values, radii, params, quad_tol):
     """R(u) = J(u / ||u||_X) and its gradient on fixed radii grids.
 
     values and radii are one profile's nodes, giving (value, gradient), or
-    (k, nodes) arrays of k profiles, giving a list of k such pairs.  Two
-    quadrature passes for the whole batch: the weight norm power and its
-    gradient on each u, then J and its gradient on each normalized profile.
+    (k, nodes) arrays of k profiles, giving a list of k such pairs.  The
+    weight norm power and its gradient on each u are closed forms; one
+    quadrature pass for the whole batch gives J and its gradient on each
+    normalized profile.
     """
     single = np.ndim(values) == 1
     values, radii = np.atleast_2d(values), np.atleast_2d(radii)
     n = params.dim
     out = [(0.0, np.zeros_like(u)) for u in values]
     profs = [RadialProfile.from_radii(r, u) for u, r in zip(values, radii)]
-    weights = integrate_batch(profs, [weight_quantity(n, params.gamma, params),
-                                      weight_gradient_quantity(params)], quad_tol)
+    weights = weight_norm_batch(profs, params)
     live = []
     for i, (prof, (w_pow, d_weight)) in enumerate(zip(profs, weights)):
         full_pow = grad_norm_pow(prof, params) + w_pow
         if full_pow > 0.0:
             live.append((i, prof, d_weight, full_pow, full_pow ** (-1.0 / n)))
-    passes = integrate_batch(
-        [prof.scaled(scale) for _, prof, _, _, scale in live],
-        [functional_quantity(params), functional_gradient_quantity(params)],
-        quad_tol)
+    passes = functional_log_batch(
+        [prof.scaled(scale) for _, prof, _, _, scale in live], params,
+        quad_tol, gradient=True)
     for (i, prof, d_weight, full_pow, scale), (j, g) in zip(live, passes):
         grad = scale * g - (float(g @ values[i]) / n) * (scale / full_pow) \
             * (grad_norm_pow_gradient(prof, params) + d_weight)
@@ -205,9 +205,9 @@ def _objective_a(values, radii, params, quad_tol):
 
     theta = (N - beta)/(N - gamma); dividing by the weight norm power to theta
     equals dilating v onto the unit weight sphere, by the dilation identity.
-    One quadrature pass on the v of the whole batch gives J, the weight norm
-    power and both their gradients; the gradient norm and its gradient are
-    closed forms.  values and radii are as in _objective_b.
+    One quadrature pass on the v of the whole batch gives J and its gradient;
+    both norm powers and their gradients are closed forms.  values and radii
+    are as in _objective_b.
     """
     single = np.ndim(values) == 1
     values, radii = np.atleast_2d(values), np.atleast_2d(radii)
@@ -220,13 +220,10 @@ def _objective_a(values, radii, params, quad_tol):
         g_pow = grad_norm_pow(prof, params)
         if g_pow > 0.0:
             live.append((i, prof, g_pow, g_pow ** (-1.0 / n)))
-    passes = integrate_batch(
-        [prof.scaled(c) for _, prof, _, c in live],
-        [weight_quantity(n, params.gamma, params),
-         weight_gradient_quantity(params),
-         functional_quantity(params),
-         functional_gradient_quantity(params)], quad_tol)
-    for (i, prof, g_pow, c), (w_pow, d_weight_v, j_log, g_j) in zip(live, passes):
+    vs = [prof.scaled(c) for _, prof, _, c in live]
+    passes = functional_log_batch(vs, params, quad_tol, gradient=True)
+    for (i, prof, g_pow, c), (w_pow, d_weight_v), (j_log, g_j) in zip(
+            live, weight_norm_batch(vs, params), passes):
         if w_pow <= 0.0:
             continue
         j = j_log.value
@@ -352,59 +349,84 @@ def _lbfgs_ascend(objective, values, config):
         return stop.value
 
 
-def _polish_steps(profile, params, value, quad_tol):
-    """Golden-section ascent of J over the renormalized dilation family.
+def _bounded_max(ask, lo, hi):
+    """Brent's bounded search for the maximum of f on [lo, hi], as fminbound.
+
+    A generator: yields ask(x) for each abscissa x, is sent f(x), and returns
+    (x, f(x)) of the best point.  A step takes the vertex of the parabola
+    through the three best points when it lies in the bracket and moves less
+    than half the step before last, else a golden-section step into the
+    larger side, until the bracket is within _POLISH_TOL (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973).  It works on -f.
+    """
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = -(yield ask(x))
+    d = e = 0.0
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = math.sqrt(2.2e-16) * abs(x) + _POLISH_TOL / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            return x, -fx
+        parabolic = False
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            p, q = (-p if q > 0.0 else p), abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic, d = True, p / q
+                if x + d - a < tol2 or b - (x + d) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if not parabolic:
+            e = a - x if x >= xm else b - x
+            d = golden * e
+        u = x - max(-d, tol1) if d < 0.0 else x + max(d, tol1)
+        fu = -(yield ask(u))
+        if fu <= fx:
+            a, b = (x, b) if u >= x else (a, x)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _polish_steps(profile, params, value):
+    """Brent's bounded ascent of J over the renormalized dilation family.
 
     Dilation shifts log-radii, a direction the fixed value grid cannot take,
-    so an exact one-parameter search recovers it; only improvements are kept.
-    The norms of each dilate come from the profile's own by the exact
-    dilation laws, so a step costs one J value.  A generator of
-    _functional_values requests (see _drive); returns (profile, value), the
-    profile itself when no dilate improves on value.
+    so a one-parameter search over log(lam) in [-_POLISH_SPAN, _POLISH_SPAN]
+    recovers it; only improvements are kept.  The norms of each dilate come
+    from the profile's own by the exact dilation laws, so a step costs one J
+    value.  A generator of _functional_values requests (see _drive); returns
+    (profile, value), the profile itself when no dilate improves on value.
     """
     n = params.dim
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    rep = norms(profile, params, rel_tol=quad_tol)
+    rep = norms(profile, params)
 
     def dilate_request(s):
-        # dilate(profile, lam).scaled(full ** (-1/n)), as nodes
-        lam = math.exp(s)
-        full = dilated_norms(rep, lam, params).full_pow
+        # dilate(profile, e^s).scaled(full ** (-1/n)), as nodes
+        full = dilated_norms(rep, math.exp(s), params).full_pow
         return (_functional_values, full ** (-1.0 / n) * profile.values,
                 np.exp(profile.log_radii - s))
 
-    a, b = -_POLISH_SPAN, _POLISH_SPAN
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    p1 = dilate_request(x1)
-    f1 = yield p1
-    p2 = dilate_request(x2)
-    f2 = yield p2
-    best_val, best = max((f1, p1), (f2, p2), key=lambda t: t[0])
-    while b - a > _POLISH_TOL:
-        if f1 < f2:
-            a, x1, f1, p1 = x1, x2, f2, p2
-            x2 = a + invphi * (b - a)
-            p2 = dilate_request(x2)
-            f2 = yield p2
-            if f2 > best_val:
-                best_val, best = f2, p2
-        else:
-            b, x2, f2, p2 = x2, x1, f1, p1
-            x1 = b - invphi * (b - a)
-            p1 = dilate_request(x1)
-            f1 = yield p1
-            if f1 > best_val:
-                best_val, best = f1, p1
-    if best_val > value:
-        _, values, radii = best
-        return RadialProfile.from_radii(radii, values), best_val
+    s, best = yield from _bounded_max(dilate_request, -_POLISH_SPAN, _POLISH_SPAN)
+    if best > value:
+        _, values, radii = dilate_request(s)
+        return RadialProfile.from_radii(radii, values), best
     return profile, value
 
 
 def _dilation_polish(profile, params, value, quad_tol):
     """_polish_steps run alone: (profile, value) after the dilation polish."""
-    return _drive([_polish_steps(profile, params, value, quad_tol)],
+    return _drive([_polish_steps(profile, params, value)],
                   params, quad_tol)[0]
 
 
@@ -425,9 +447,8 @@ def _leg(start_id, profile, params, config, mode):
             lambda u: (_objective_a, u, radii), profile.values, config)
         best = RadialProfile.from_radii(radii, values)
         g_pow = grad_norm_pow(best, params)
-        best = at_normalize(best.scaled(g_pow ** (-1.0 / n)), params,
-                            rel_tol=quad_tol)
-        rep = norms(best, params, rel_tol=quad_tol)
+        best = at_normalize(best.scaled(g_pow ** (-1.0 / n)), params)
+        rep = norms(best, params)
         residuals = {"grad_norm": abs(rep.grad_pow - 1.0),
                      "weight_norm": abs(rep.weight_pow - 1.0)}
     else:
@@ -442,12 +463,11 @@ def _leg(start_id, profile, params, config, mode):
                 lambda u: (_objective_b, u, radii), working.values, leg_config)
             trace.extend(leg if not trace else leg[1:])
             working = RadialProfile.from_radii(radii, values)
-            rep = norms(working, params, rel_tol=quad_tol)
+            rep = norms(working, params)
             working = working.scaled(rep.full_pow ** (-1.0 / n))
             if not config.dilation_polish:
                 break
-            polished, new_value = yield from _polish_steps(working, params,
-                                                           value, quad_tol)
+            polished, new_value = yield from _polish_steps(working, params, value)
             polish_gained = polished is not working
             if polish_gained:
                 trace.append(new_value)
@@ -455,7 +475,7 @@ def _leg(start_id, profile, params, config, mode):
             if converged and not polish_gained:
                 break
         best = working
-        rep = norms(best, params, rel_tol=quad_tol)
+        rep = norms(best, params)
         residuals = {"full_norm": abs(rep.full_pow - 1.0)}
 
     diagnostics = {

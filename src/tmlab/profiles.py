@@ -8,27 +8,24 @@ A profile is a nonnegative radial function stored exactly, in t = log r, as
 
 This class is closed under dilation and under the weighted-to-unweighted
 change of functions, both affine maps of t, and it contains the concentrating
-log-cone sequences exactly, so the gradient norm has a closed form with zero
-quadrature error.
-The weighted L^p integrals and the exponential functional are integrated
-segment by segment with adaptive Gauss-Kronrod quadrature in t = log r, where
-every integrand is smooth.  Each integrated quantity is written once, as a
-``Quantity`` (its integrand rows and its finish step), and "live segments ->
-integrand -> integrate" is written once too, for any number of profiles:
-integrate_batch lays the live segments of all profiles of a batch end to
-end as the intervals of one quadrature call and finishes each profile on its
-own slice.  So a caller that needs a value and its gradient on one profile
-integrates it once, and a caller with many profiles integrates them together,
-with each profile's results the same bit for bit as from a batch of one.
+log-cone sequences exactly.  So the gradient norm and every weighted moment
+int u^p r^(N-1-delta) dr with integer p have closed forms (the latter a sum
+of Bernstein moments, see _segment_moments), exact to rounding with their
+node gradients.  The exponential functional is integrated segment by segment
+with adaptive Gauss-Kronrod quadrature in t, where its integrand is smooth:
+functional_log_batch lays the live segments of all profiles of a batch end
+to end as the intervals of one quadrature call, with the gradient rows in
+the same pass when asked.  Every batch function gives each profile the same
+bits as a batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
 import warnings
-from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -42,6 +39,11 @@ from .quadrature import integrate_segments
 
 # Default relative tolerance for all segment quadrature.
 TOL_QUAD = 1e-10
+# The weighted moments cut a segment into pieces of z = (N - delta) dt at
+# most _PIECE_Z, where _PIECE_TERMS terms of a series reach rounding
+# (2^25/25! < 3e-18).
+_PIECE_Z = 2.0
+_PIECE_TERMS = 25
 # The span [t_lo, t_hi] in t = log r of random_profile's grid.
 _RANDOM_T_SPAN = (-7.0, 4.5)
 
@@ -58,17 +60,19 @@ class RadialProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.log_radii, dtype=float)).copy()
-        values = np.atleast_1d(np.asarray(self.values, dtype=float)).copy()
+        # array methods rather than the np.all/np.diff wrappers: optimizers
+        # build thousands of profiles
+        t = np.array(self.log_radii, dtype=float, ndmin=1)
+        values = np.array(self.values, dtype=float, ndmin=1)
         if t.ndim != 1 or values.ndim != 1:
             raise ValidationError("radii and values must be one-dimensional")
         if t.size != values.size or t.size == 0:
             raise ValidationError("radii and values must have equal nonzero length")
-        if not np.all(np.isfinite(t)) or not np.all(np.isfinite(values)):
+        if not (np.isfinite(t).all() and np.isfinite(values).all()):
             raise ValidationError("radii and values must be finite")
-        if np.any(np.diff(t) <= 0.0):
+        if (t[1:] <= t[:-1]).any():
             raise ValidationError("radii must be strictly increasing")
-        if np.any(values < 0.0):
+        if (values < 0.0).any():
             raise ValidationError("node values must be nonnegative")
         if values[-1] != 0.0:
             raise ValidationError("last node value must be 0 (compact support)")
@@ -154,14 +158,14 @@ class NormReport:
 class LiveSegments(NamedTuple):
     """The segments where u is not zero, of a batch of profiles, end to end.
 
-    Profile b owns entries bounds[b]:bounds[b+1], in segment order.  idx is
-    each entry's segment index in its own profile; (t0, u0) and (t1, u1) are
-    the segment's end nodes in t = log r.
-    """
+    Nodes of all profiles are numbered in turn, profile b's from firsts[b];
+    profile b owns entries bounds[b]:bounds[b+1], in segment order, and
+    node, (t0, u0) and (t1, u1) are an entry's left node and end nodes."""
 
     profiles: tuple
     bounds: list
-    idx: np.ndarray
+    firsts: list
+    node: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
     u0: np.ndarray
@@ -171,232 +175,219 @@ class LiveSegments(NamedTuple):
     def of(cls, profiles) -> "LiveSegments":
         """The table of one or more profiles."""
         profiles = tuple(profiles)
-        parts = []
-        for p in profiles:
-            i = np.nonzero((p.values[:-1] > 0.0) | (p.values[1:] > 0.0))[0]
-            j = i + 1
-            parts.append((i, p.log_radii[i], p.log_radii[j], p.values[i],
-                          p.values[j]))
-        columns = (parts[0] if len(parts) == 1
-                   else [np.concatenate(c) for c in zip(*parts)])
-        bounds = list(itertools.accumulate((c[0].size for c in parts), initial=0))
-        return cls(profiles, bounds, *columns)
+        firsts = list(itertools.accumulate((p.num_nodes for p in profiles),
+                                           initial=0))
+        t = np.concatenate([p.log_radii for p in profiles] or [np.zeros(0)])
+        u = np.concatenate([p.values for p in profiles] or [np.zeros(0)])
+        live = (u[:-1] > 0.0) | (u[1:] > 0.0)
+        if len(profiles) > 1:  # a profile's last node (u = 0) starts no segment
+            live[np.array(firsts[1:-1]) - 1] = False
+        node = np.nonzero(live)[0]
+        bounds = [0] + np.searchsorted(node, firsts[1:]).tolist()
+        return cls(profiles, bounds, firsts, node, t[node], t[node + 1],
+                   u[node], u[node + 1])
 
 
-class Quantity(NamedTuple):
-    """One integral over the live segments of every profile in a batch.
-
-    bind(live) prepares the quantity for one LiveSegments table and returns
-    (rows, finish): rows(t, u, seg) gives its k integrand rows, shape (k, n),
-    at log-radii t, profile values u and table entries seg; finish(b, vals)
-    turns the integrals over profile b's live segments, shape (k, n_b), into
-    the result and adds the exact plateau piece.
-    """
-
-    k: int
-    bind: Callable
+@functools.cache
+def _binomials(k_max: int) -> np.ndarray:
+    """C(k+m, m), rounded once, for m < _PIECE_TERMS (rows) and k <= k_max."""
+    return np.array([[math.comb(k + m, m) for k in range(k_max + 1)]
+                     for m in range(_PIECE_TERMS)], dtype=float)[:, :, None]
 
 
-def _integrate_live(live: LiveSegments, quantities, rel_tol: float):
-    """(finish steps, integrals (sum of k, entries)) of quantities on a table."""
-    bound = [q.bind(live) for q in quantities]
-    if live.idx.size == 0:
-        vals = np.zeros((sum(q.k for q in quantities), 0))
+@functools.cache
+def _inverse_rising(p: int) -> np.ndarray:
+    """1 / (p+2)_m, rounded once, for m < _PIECE_TERMS."""
+    return np.array([1 / math.prod(range(p + 2, p + 2 + m))
+                     for m in range(_PIECE_TERMS)])
+
+
+def _bernstein_moments(z, p):
+    """E[k] = e^-z 1F1(k+1; p+2; z) = (p+1) int_0^1 C(p,k) x^k (1-x)^(p-k)
+    e^(-z(1-x)) dx, k = 0..max(p), 0 past a row's p.  e^z E_k = sum_m C(k+m, m)
+    z^m / (p+2)_m has positive terms of ratio at most z/(m+1): for z <= _PIECE_Z
+    the first _PIECE_TERMS reach rounding, summed in the order of m."""
+    ragged = np.ndim(p) > 0
+    exponents, row = np.unique(p, return_inverse=True) if ragged else ([p], None)
+    k_max = int(max(exponents, default=1))
+    w = np.ones((_PIECE_TERMS, z.size))
+    w[1] = z
+    for h in (1, 2, 4, 8, 16):  # z^(h+i) = z^h z^i
+        end = min(2 * h + 1, _PIECE_TERMS)
+        np.multiply(w[1:end - h], w[h], out=w[h + 1:end])
+    w *= (np.reshape([_inverse_rising(int(e)) for e in exponents],
+                     (-1, _PIECE_TERMS)).T[:, row] if ragged
+          else _inverse_rising(p)[:, None])
+    b = _binomials(k_max)
+    step = max(1, 2 ** 21 // b.size)  # rows per 16 MB product
+    sums = (np.add.reduce(b * w[:, None], axis=0) if z.size <= step else
+            np.concatenate([np.add.reduce(b * w[:, None, i:i + step], axis=0)
+                            for i in range(0, z.size, step)], axis=1))
+    moments = np.exp(-z) * sums
+    if ragged:  # the series of a k past p is no moment of degree p
+        moments *= np.arange(k_max + 1.0)[:, None] <= p
+    return moments
+
+
+def _segment_moments(t0, t1, u0, u1, p, c, gradient=False):
+    """Pieces of int_t0^t1 u^p e^(c t) dt on log-affine segments, exact to rounding.
+
+    u is affine in t from u0 to u1, not both 0; p is one int >= 1 or one per
+    segment.  With z = c (t1 - t0), the Bernstein basis of degree p gives
+    int = e^(c t1) (t1 - t0)/(p+1) sum_k u0^(p-k) u1^k E_k(z) (see
+    _bernstein_moments).  All of it but e^-58 lies within (p + 10 sqrt(p) +
+    50)/c of t1; that part is cut into equal pieces of z <= _PIECE_Z, and
+    piece j, of segment seg[j], integrates to e^log_scale[j] rest[j].  With
+    gradient (one p), also each piece's derivatives in its u0 and its u1."""
+    dt = t1 - t0
+    z = c * dt
+    if z.size == 0 or z.max() <= _PIECE_Z:  # the layout below, short-cut
+        seg, y0, y1, a, b, width, right = np.arange(z.size), 1.0, 0.0, u0, u1, dt, t1
     else:
-        slope = (live.u1 - live.u0) / (live.t1 - live.t0)
-
-        def f(t, seg):
-            u = np.maximum(live.u0[seg] + slope[seg] * (t - live.t0[seg]), 0.0)
-            return np.concatenate([rows(t, u, seg) for rows, _ in bound])
-
-        vals, _, _ = integrate_segments(f, live.t0, live.t1, rel_tol=rel_tol)
-    return [finish for _, finish in bound], vals
-
-
-def integrate_batch(profiles, quantities, rel_tol: float = TOL_QUAD) -> list:
-    """results[b][i], quantity i on profile b, from one quadrature pass.
-
-    The live segments of all profiles are laid end to end as the intervals
-    of one integrate_segments call, which warns once if any reaches its panel
-    cap.  integrate_segments refines each interval on its own, so a profile's
-    results are the same bit for bit as from a batch of that profile alone.
-    The rows of the quantities are stacked, so within one profile they do
-    share refinement: a segment is refined until every row meets rel_tol,
-    and where another row forces a split a quantity can differ from its value
-    integrated alone by up to rel_tol.
-    """
-    if not profiles:
-        return []
-    live = LiveSegments.of(profiles)
-    finishes, vals = _integrate_live(live, quantities, rel_tol)
-    rows = list(itertools.accumulate((q.k for q in quantities), initial=0))
-    return [[finish(b, vals[r0:r1, lo:hi])
-             for finish, r0, r1 in zip(finishes, rows[:-1], rows[1:])]
-            for b, (lo, hi) in enumerate(zip(live.bounds[:-1], live.bounds[1:]))]
-
-
-def _hat_gradient(params: ProblemParams, base, plateau) -> Quantity:
-    """Node gradient of omega * int base(t, u) dt, plus plateau(profile) at node 0.
-
-    Each segment's integrals of base times its two interpolation hat weights
-    go to the segment's left and right node.  Warns if an integrand overflowed.
-    """
-    omega = sphere_area(params.dim)
-
-    def bind(live):
-        dt = live.t1 - live.t0
-
-        def rows(t, u, seg):
-            b = base(t, u)
-            w_right = (t - live.t0[seg]) / dt[seg]
-            return np.stack([b * (1.0 - w_right), b * w_right])
-
-        def finish(b, vals):
-            profile = live.profiles[b]
-            idx = live.idx[live.bounds[b]:live.bounds[b + 1]]
-            out = np.zeros(profile.num_nodes)
-            # left-node integrals of every segment first, then the right-node ones
-            np.add.at(out, np.concatenate([idx, idx + 1]),
-                      omega * vals.ravel())
-            out[0] += plateau(profile)
-            if not np.all(np.isfinite(out)):
-                warnings.warn("node gradient saturated: integrand overflowed",
-                              RuntimeWarning)
-            return out
-
-        return rows, finish
-
-    return Quantity(2, bind)
+        # a piece spans [t1 - y0 dt, t1 - y1 dt]; a whole segment has y0 = 1, y1 = 0
+        kept = np.minimum(z, p + 10.0 * np.sqrt(p) + 50.0)
+        count = np.ceil(kept / _PIECE_Z).astype(int)
+        seg = np.repeat(np.arange(z.size), count)
+        share, last, u0, u1, dt, t1 = np.array(
+            [kept / z / count, np.cumsum(count), u0, u1, dt, t1])[:, seg]
+        y0 = share * (last - np.arange(seg.size))
+        y1 = y0 - share
+        a, b = y0 * u0 + (1.0 - y0) * u1, y1 * u0 + (1.0 - y1) * u1
+        width, right = share * dt, t1 - y1 * dt
+        p = p[seg] if np.ndim(p) else p
+    moments = _bernstein_moments(c * width, p)
+    # rest = sum_k lo^(p-k) hi^k E_k in the order of k, (lo, hi) = (a, b)/top
+    top = np.maximum(a, b)
+    k = np.arange(moments.shape[0])[:, None]
+    powers = np.ones((k.size, 2, seg.size))
+    np.divide([a, b], top, out=powers[1])
+    for j in range(2, k.size):
+        np.multiply(powers[j - 1], powers[1], out=powers[j])
+    lo = (powers[np.maximum(p - k, 0), 0, np.arange(seg.size)] if np.ndim(p)
+          else powers[::-1, 0])
+    rest = np.add.reduce(lo * powers[:, 1] * moments, axis=0)
+    log_top = np.log(top)
+    log_scale = c * right + np.log(width / (p + 1.0)) + p * log_top
+    if not gradient:
+        return seg, log_scale, rest
+    # d/da of e^log_scale rest is e^log_scale/top times d rest/d lo = sum_(k<p)
+    # (p-k) lo^(p-1-k) hi^k E_k; for b, (k+1) E_(k+1) in place of (p-k) E_k
+    below = powers[p - 1::-1, 0] * powers[:-1, 1] * np.exp(log_scale - log_top)
+    d_a = np.add.reduce((p - k[:-1]) * below * moments[:-1], axis=0)
+    d_b = np.add.reduce((k[:-1] + 1.0) * below * moments[1:], axis=0)
+    return (seg, log_scale, rest, d_a * y0 + d_b * y1,
+            d_a * (1.0 - y0) + d_b * (1.0 - y1))
 
 
-def weight_quantity(p, delta: float, params: ProblemParams) -> Quantity:
-    """omega * int_0^inf u(r)^p r^(N-1-delta) dr, as a float.
+def _weighted_moments(profiles, p, delta: float, params: ProblemParams,
+                      gradient=False):
+    """(top, sums) with omega int_0^inf u^p r^(N-1-delta) dr = omega e^top sums.
 
-    p is one exponent, or a sequence of one exponent per profile of the
-    batch.  Each profile's rows are evaluated with its own scalar exponent:
-    an array exponent in u ** p can change the last bit.  The plateau piece
-    is exact; segments are integrated in t = log r, where the weight becomes
-    the smooth factor e^((N-delta) t).
-    """
-    scalar = np.isscalar(p)
-    exponents = [p] if scalar else [float(x) for x in p]
-    for x in exponents:
-        if x < 1:
-            raise DomainError(f"exponent p must be >= 1, got {x}")
+    p is one integer >= 1 or one per profile.  The plateau piece, omega u_0^p
+    e^(c t_0)/c, is one more term x of a profile's sum, each taken as e^top
+    e^(x - top) with top the largest, so no power of u overflows.  With
+    gradient (one p) also each profile's node gradient."""
+    uniform = np.ndim(p) == 0
+    exponents = [p] if uniform else list(p)
+    for x in set(exponents):
+        if not (x >= 1 and x == int(x)):
+            raise DomainError(
+                f"exponent p must be an integer >= 1, got {x}: the weighted "
+                "moments are summed in closed form for integer exponents")
     n = params.dim
     if delta >= n:
         raise DivergentWeightError(
             f"weight exponent {delta} >= dimension {n}: plateau integral diverges")
-    omega = sphere_area(n)
-    c = n - delta
-
-    def bind(live):
-        if scalar:
-            def rows(t, u, seg):
-                return (u ** p * np.exp(c * t))[None, :]
-        else:
-            entry_item = np.repeat(np.arange(len(live.profiles)),
-                                   np.diff(live.bounds))
-
-            def rows(t, u, seg):
-                item = entry_item[seg]
-                out = np.empty((1, t.size))
-                for b, x in enumerate(exponents):
-                    sel = item == b
-                    out[0, sel] = u[sel] ** x * np.exp(c * t[sel])
-                return out
-
-        def finish(b, vals):
-            profile = live.profiles[b]
-            x = exponents[0] if scalar else exponents[b]
-            plateau = (omega * profile.values[0] ** x
-                       * math.exp(c * profile.log_radii[0]) / c)
-            return plateau + omega * float(vals.sum())
-
-        return rows, finish
-
-    return Quantity(1, bind)
-
-
-def weight_gradient_quantity(params: ProblemParams) -> Quantity:
-    """Node gradient of the weight norm power (p = N, weight |x|^-gamma)."""
-    n = params.dim
-    c = n - params.gamma
-    omega = sphere_area(n)
-
-    def plateau(profile):
-        return (omega * n * profile.values[0] ** (n - 1)
-                * math.exp(c * profile.log_radii[0]) / c)
-
-    return _hat_gradient(params, lambda t, u: n * u ** (n - 1) * np.exp(c * t),
-                         plateau)
+    c, exponents = n - delta, np.array(exponents, dtype=int)
+    live = LiveSegments.of(profiles)
+    owner = np.searchsorted(live.bounds[1:], np.arange(live.node.size), "right")
+    seg, log_scale, rest, *d_ends = _segment_moments(
+        live.t0, live.t1, live.u0, live.u1,
+        int(exponents[0]) if uniform else exponents[owner], c, gradient)
+    u_first = np.array([q.values[0] for q in profiles])
+    t_first = np.array([q.log_radii[0] for q in profiles])
+    heads = np.flatnonzero(u_first > 0.0)
+    log_head = np.log(u_first[heads])
+    plateau = (c * t_first[heads] - math.log(c)
+               + exponents[0 if uniform else heads] * log_head)
+    group = np.concatenate([owner[seg], heads])
+    log_scale = np.concatenate([log_scale, plateau])
+    top = np.full(len(profiles), -np.inf)
+    np.maximum.at(top, group, log_scale)
+    # (an empty bincount is of int dtype)
+    sums = np.bincount(group, np.concatenate([rest, np.ones(heads.size)])
+                       * np.exp(log_scale - top[group]),
+                       minlength=len(profiles)).astype(float)
+    if not gradient:
+        return top, sums
+    node, starts = live.node[seg], live.firsts
+    grad = np.bincount(np.concatenate([node, node + 1]), np.concatenate(d_ends),
+                       minlength=starts[-1]).astype(float)
+    # the plateau's d/du_0 (u_0^n e^(c t_0) / c) = n e^plateau / u_0
+    grad[np.array(starts)[heads]] += n * np.exp(plateau - log_head)
+    grad *= sphere_area(n)
+    return top, sums, [grad[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
-def functional_quantity(params: ProblemParams) -> Quantity:
-    """The exponential functional as a LogValue.
+def functional_log_batch(profiles, params: ProblemParams,
+                         rel_tol: float = TOL_QUAD, gradient=False) -> list:
+    """The functional of each profile as a LogValue; with gradient, (LogValue,
+    node gradient) pairs.  One integrate_segments call takes the live segments
+    of all profiles, refines each on its own and warns once at its panel cap,
+    so a profile's results are as alone, bit for bit.  Each segment's integrand
+    is divided by its maximum, at an end (the exponent is convex in t), so J
+    past overflow stays exact in log.  The gradient rows (the chain rule times
+    the two hat weights) share J's refinement, so J can differ from J alone by
+    up to rel_tol.  Warns if a gradient integrand overflowed."""
+    n, alpha, c = params.dim, params.alpha, params.dim - params.beta
+    q, omega = params.exponent, sphere_area(n)
+    live = LiveSegments.of(profiles)
+    dt = live.t1 - live.t0
+    slope = (live.u1 - live.u0) / dt
+    shift = np.maximum(alpha * live.u0 ** q + c * live.t0,
+                       alpha * live.u1 ** q + c * live.t1)
 
-    Each segment is integrated after factoring out the maximum of the
-    log-integrand (attained at an endpoint: the exponent is convex in t), so
-    blow-up-regime values that overflow linear doubles stay exact in ``log``.
-    """
-    n, alpha, beta = params.dim, params.alpha, params.beta
-    q = params.exponent
-    omega = sphere_area(n)
-    c = n - beta
+    def rows(t, seg):
+        u = np.maximum(live.u0[seg] + slope[seg] * (t - live.t0[seg]), 0.0)
+        with np.errstate(divide="ignore"):
+            out = [np.exp(log_phi(n, alpha * u ** q) + c * t - shift[seg])[None, :]]
+        if gradient:
+            with np.errstate(over="ignore"):
+                b = (phi_derivative(n, alpha * u ** q)
+                     * alpha * q * u ** (q - 1.0) * np.exp(c * t))
+            w_right = (t - live.t0[seg]) / dt[seg]
+            out.append(np.stack([b * (1.0 - w_right), b * w_right]))
+        return np.concatenate(out)
 
-    def bind(live):
-        shift = np.maximum(alpha * live.u0 ** q + c * live.t0,
-                           alpha * live.u1 ** q + c * live.t1)
-
-        def rows(t, u, seg):
-            with np.errstate(divide="ignore"):
-                g = log_phi(n, alpha * u ** q) + c * t - shift[seg]
-            return np.exp(g)[None, :]
-
-        def finish(b, vals):
-            profile = live.profiles[b]
-            logs = []
-            u0 = profile.values[0]
-            if u0 > 0.0:
-                logs.append(math.log(omega / c) + c * profile.log_radii[0]
-                            + log_phi(n, alpha * u0 ** q))
-            with np.errstate(divide="ignore"):
-                seg_logs = (shift[live.bounds[b]:live.bounds[b + 1]]
-                            + np.log(vals[0]) + math.log(omega))
-            logs += list(seg_logs[np.isfinite(seg_logs)])
-            if not logs:
-                return LogValue(-math.inf)
-            return LogValue(float(np.logaddexp.reduce(np.asarray(logs))))
-
-        return rows, finish
-
-    return Quantity(1, bind)
-
-
-def functional_gradient_quantity(params: ProblemParams) -> Quantity:
-    """Node gradient of the functional.
-
-    Differentiates the plateau closed form and the segment integrands through
-    the chain rule; the interpolation hat weights confine each segment's
-    contribution to its two nodes.
-    """
-    n, alpha, beta = params.dim, params.alpha, params.beta
-    q = params.exponent
-    c = n - beta
-    omega = sphere_area(n)
-
-    def base(t, u):
-        with np.errstate(over="ignore"):
-            return (phi_derivative(n, alpha * u ** q)
-                    * alpha * q * u ** (q - 1.0) * np.exp(c * t))
-
-    def plateau(profile):
-        u0 = profile.values[0]
-        return (omega * phi_derivative(n, alpha * u0 ** q)
-                * alpha * q * u0 ** (q - 1.0)
-                * math.exp(c * profile.log_radii[0]) / c)
-
-    return _hat_gradient(params, base, plateau)
+    vals = np.zeros((3 if gradient else 1, 0))
+    if live.node.size:
+        vals, _, _ = integrate_segments(rows, live.t0, live.t1, rel_tol=rel_tol)
+    results = []
+    for b, profile in enumerate(live.profiles):
+        lo, hi = live.bounds[b], live.bounds[b + 1]
+        u0, t0 = profile.values[0], profile.log_radii[0]
+        with np.errstate(divide="ignore"):
+            seg_logs = shift[lo:hi] + np.log(vals[0, lo:hi]) + math.log(omega)
+        logs = np.concatenate([
+            [math.log(omega / c) + c * t0 + log_phi(n, alpha * u0 ** q)]
+            if u0 > 0.0 else [], seg_logs[np.isfinite(seg_logs)]])
+        j = LogValue(float(np.logaddexp.reduce(logs)) if logs.size else -math.inf)
+        if not gradient:
+            results.append(j)
+            continue
+        idx = live.node[lo:hi] - live.firsts[b]
+        # left-node integrals of every segment first, then the right-node ones
+        # (an empty bincount is of int dtype)
+        grad = np.bincount(np.concatenate([idx, idx + 1]),
+                           omega * vals[1:, lo:hi].ravel(),
+                           minlength=profile.num_nodes).astype(float)
+        grad[0] += (omega * phi_derivative(n, alpha * u0 ** q)
+                    * alpha * q * u0 ** (q - 1.0) * math.exp(c * t0) / c)
+        if not np.all(np.isfinite(grad)):
+            warnings.warn("node gradient saturated: integrand overflowed",
+                          RuntimeWarning)
+        results.append((j, grad))
+    return results
 
 
 def grad_norm_pow(profile: RadialProfile, params: ProblemParams) -> float:
@@ -425,54 +416,47 @@ def grad_norm_pow_gradient(profile: RadialProfile,
 
 def weighted_lp_pow(profile: RadialProfile, p: float, delta: float,
                     params: ProblemParams, rel_tol: float = TOL_QUAD) -> float:
-    """Weighted integral omega * int_0^inf u(r)^p r^(N-1-delta) dr."""
-    return weighted_lp_pow_batch([profile], p, delta, params, rel_tol)[0]
+    """Weighted integral omega * int_0^inf u(r)^p r^(N-1-delta) dr, p an integer.
+
+    Exact to rounding (see _segment_moments); rel_tol is accepted and unused.
+    """
+    return weighted_lp_pow_batch([profile], p, delta, params)[0]
 
 
 def weighted_lp_pow_batch(profiles, p, delta: float, params: ProblemParams,
-                          rel_tol: float = TOL_QUAD) -> list:
-    """weighted_lp_pow of each profile from one quadrature pass, bit for bit.
-
-    p is one exponent, or a sequence of one exponent per profile.
-    """
-    quantity = weight_quantity(p, delta, params)
-    return [w for w, in integrate_batch(profiles, [quantity], rel_tol)]
-
-
-def weighted_lp_pow_cuts(profile: RadialProfile, p: float, delta: float,
-                         params: ProblemParams, rel_tol: float = TOL_QUAD):
-    """weighted_lp_pow of a profile and of its cuts, from one quadrature pass.
-
-    Returns (total, cut): cut(m), 1 <= m < num_nodes, is weighted_lp_pow of
-    the profile with values[m:] set to 0, bit for bit.  That cut keeps the
-    live segments before m - 1 and replaces segment m - 1 by a ramp down to
-    0, so one pass over the live segments and every such ramp gives them all.
-    """
-    live = LiveSegments.of([profile])
-    ramp = live.u0 > 0.0
-    ramp_idx = live.idx[ramp]
-    n_live = live.idx.size
-    # the ramps follow the live segments as more entries of profile 0
-    both = LiveSegments(
-        live.profiles, [0, n_live + ramp_idx.size],
-        *[np.concatenate([col, col[ramp]]) for col in live[2:6]],
-        np.concatenate([live.u1, np.zeros(ramp_idx.size)]))
-    (finish,), vals = _integrate_live(both, [weight_quantity(p, delta, params)],
-                                      rel_tol)
-    seg_vals, ramp_vals = vals[:, :n_live], vals[:, n_live:]
-
-    def cut(m):
-        return finish(0, np.concatenate([seg_vals[:, live.idx < m - 1],
-                                         ramp_vals[:, ramp_idx == m - 1]], axis=1))
-
-    return finish(0, seg_vals), cut
+                          log=False) -> list:
+    """weighted_lp_pow of each profile (p: one or one per profile), bit for
+    bit; with log their logs, finite where u^p overflows."""
+    top, sums = _weighted_moments(profiles, p, delta, params)
+    with np.errstate(divide="ignore"):
+        return (math.log(sphere_area(params.dim)) + top + np.log(sums) if log
+                else sphere_area(params.dim) * np.exp(top) * sums).tolist()
 
 
-def norms(profile: RadialProfile, params: ProblemParams,
-          rel_tol: float = TOL_QUAD) -> NormReport:
+def weight_norm_batch(profiles, params: ProblemParams) -> list:
+    """(weight norm power, its node gradient) of each profile, bit for bit."""
+    top, sums, grads = _weighted_moments(profiles, params.dim, params.gamma,
+                                         params, gradient=True)
+    return list(zip((sphere_area(params.dim) * np.exp(top) * sums).tolist(),
+                    grads))
+
+
+def segment_weights(t0, t1, u0, u1, p: int, delta: float,
+                    params: ProblemParams) -> np.ndarray:
+    """omega int u^p r^(N-1-delta) dr over each segment alone: t = log r in
+    [t0[i], t1[i]], u affine in t from u0[i] to u1[i] (0 if both are 0)."""
+    live = (u0 > 0.0) | (u1 > 0.0)
+    seg, log_scale, rest = _segment_moments(t0[live], t1[live], u0[live],
+                                            u1[live], p, params.dim - delta)
+    out = np.zeros(live.size)
+    out[live] = np.bincount(seg, np.exp(log_scale) * rest, minlength=np.sum(live))
+    return sphere_area(params.dim) * out
+
+
+def norms(profile: RadialProfile, params: ProblemParams) -> NormReport:
     """Gradient, weighted, and full norm powers in one report."""
     g = grad_norm_pow(profile, params)
-    w = weighted_lp_pow(profile, params.dim, params.gamma, params, rel_tol=rel_tol)
+    w = weighted_lp_pow(profile, params.dim, params.gamma, params)
     return NormReport(grad_pow=g, weight_pow=w, full_pow=g + w)
 
 
@@ -480,13 +464,6 @@ def functional_log(profile: RadialProfile, params: ProblemParams,
                    rel_tol: float = TOL_QUAD) -> LogValue:
     """omega * int_0^inf Phi_N(alpha u^(N/(N-1))) r^(N-1-beta) dr in log scale."""
     return functional_log_batch([profile], params, rel_tol)[0]
-
-
-def functional_log_batch(profiles, params: ProblemParams,
-                         rel_tol: float = TOL_QUAD) -> list:
-    """functional_log of each profile from one quadrature pass, bit for bit."""
-    quantity = functional_quantity(params)
-    return [j for j, in integrate_batch(profiles, [quantity], rel_tol)]
 
 
 def functional(profile: RadialProfile, params: ProblemParams,
@@ -498,15 +475,16 @@ def functional(profile: RadialProfile, params: ProblemParams,
 def functional_gradient(profile: RadialProfile, params: ProblemParams,
                         rel_tol: float = TOL_QUAD) -> np.ndarray:
     """Partial derivatives of the functional with respect to the node values."""
-    quantity = functional_gradient_quantity(params)
-    return integrate_batch([profile], [quantity], rel_tol)[0][0]
+    return functional_log_batch([profile], params, rel_tol, gradient=True)[0][1]
 
 
 def norms_gradient(profile: RadialProfile, params: ProblemParams,
                    rel_tol: float = TOL_QUAD):
-    """Gradients of grad_pow and weight_pow with respect to node values."""
-    quantity = weight_gradient_quantity(params)
-    d_weight = integrate_batch([profile], [quantity], rel_tol)[0][0]
+    """Gradients of grad_pow and weight_pow with respect to node values.
+
+    Both are exact (closed forms); rel_tol is accepted and unused.
+    """
+    d_weight = weight_norm_batch([profile], params)[0][1]
     return grad_norm_pow_gradient(profile, params), d_weight
 
 
@@ -530,12 +508,11 @@ def dilated_norms(report: NormReport, lam: float,
                       full_pow=report.grad_pow + w)
 
 
-def at_normalize(profile: RadialProfile, params: ProblemParams,
-                 rel_tol: float = TOL_QUAD) -> RadialProfile:
+def at_normalize(profile: RadialProfile, params: ProblemParams) -> RadialProfile:
     """Dilate so the weighted L^N norm is exactly 1; gradient norm untouched."""
     if profile.is_zero:
         raise DegenerateInputError("cannot normalize the zero profile")
-    w = weighted_lp_pow(profile, params.dim, params.gamma, params, rel_tol=rel_tol)
+    w = weighted_lp_pow(profile, params.dim, params.gamma, params)
     lam = w ** (1.0 / (params.dim - params.gamma))
     return dilate(profile, lam)
 

@@ -92,8 +92,9 @@ def integrate_segments(f, lefts, rights, rel_tol=1e-10):
     if np.any(rights <= lefts):
         raise ValueError("every interval needs right > left")
 
-    counts = np.clip(np.ceil((rights - lefts) / _INIT_WIDTH).astype(int),
-                     1, _MAX_INIT_PANELS)
+    # clipped before the cast: a width past 2^63 panels has no int value
+    counts = np.clip(np.ceil((rights - lefts) / _INIT_WIDTH),
+                     1, _MAX_INIT_PANELS).astype(int)
     seg = np.repeat(np.arange(m), counts)
     # panel j of interval i spans [j*h_i + l_i, (j+1)*h_i + l_i], h_i = width/c_i,
     # and the last right edge is r_i itself: np.linspace's own arithmetic

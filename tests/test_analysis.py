@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from tmlab import (ProblemParams, RadialProfile, at_normalize,
-                   critical_alpha_beta, functional, grad_norm_pow, norms,
-                   weighted_lp_pow)
+                   critical_alpha_beta, functional, grad_norm_pow, norms)
 from tmlab.moser import normalized
+from tmlab.profiles import weighted_lp_pow_batch
 from tmlab.analysis import (g_factor, lemma2_transport, moment_ratio_table,
                             orbit_derivative, relation_scan,
                             theorem13_transport)
@@ -188,8 +188,9 @@ class TestOrbitDerivative:
             assert rep.sign == -1
 
     def test_chunked_moments_match_per_j_series(self):
-        # the series takes its moments in chunks; each term and the truncation
-        # are those of one weighted_lp_pow call per moment, bit for bit
+        # the series takes its log moments in chunks; each term and the
+        # truncation are those of one weighted_lp_pow_batch call per moment,
+        # bit for bit
         params = make_params((2, 0.5, 0.5), alpha_ratio=0.6)
         v = normalized(20, params).profile
         v = v.scaled(norms(v, params).full_pow ** -0.5)
@@ -199,9 +200,10 @@ class TestOrbitDerivative:
         terms, total, log_fact = [], 0.0, 0.0
         for j in range(1, rep.truncation_index + 1):
             log_fact += math.log(j)
-            m2j = weighted_lp_pow(v, 2.0 * j, params.beta, params)
+            log_m2j = weighted_lp_pow_batch([v], 2 * j, params.beta, params,
+                                            log=True)[0]
             terms.append(math.exp(j * math.log(params.alpha) - log_fact
-                                  + math.log(m2j))
+                                  + log_m2j)
                          * (1.0 - params.beta / 2.0)
                          * (-nrm.grad_pow + (j - 1.0) * nrm.weight_pow))
             total += terms[-1]

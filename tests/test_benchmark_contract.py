@@ -62,7 +62,8 @@ def test_install_traces_and_uninstall_restores(tracing, tmp_path):
     # each random profile is pushed once and pulled back once
     assert metrics["transform.push_profile.calls"] == 3
     assert metrics["transform.pull_profile.calls"] == 3
-    assert metrics["quadrature.integrate_segments.calls"] == 4
+    # one J pass for the us and one for the vs; the weight norms are closed forms
+    assert metrics["quadrature.integrate_segments.calls"] == 2
 
 
 def test_micro_runs(tracing):

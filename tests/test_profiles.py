@@ -12,11 +12,8 @@ from tmlab import (ProblemParams, RadialProfile, at_normalize, dilate,
 from tmlab import profiles
 from tmlab.optimizer import OptimizerConfig, starting_profiles
 from tmlab.moser import normalized
-from tmlab.profiles import (dilated_norms, functional_gradient_quantity,
-                            functional_log_batch, functional_quantity,
-                            integrate_batch, weight_gradient_quantity,
-                            weight_quantity, weighted_lp_pow_batch,
-                            weighted_lp_pow_cuts)
+from tmlab.profiles import (dilated_norms, functional_log_batch,
+                            weighted_lp_pow_batch)
 from tmlab.errors import (DegenerateInputError, DivergentWeightError,
                           DomainError, ValidationError)
 
@@ -27,23 +24,14 @@ from conftest import (MATRIX, assert_rel_close, finite_difference_gradient,
 ZERO = RadialProfile.from_radii([1.0], [0.0])
 
 
-def _all_quantities(params):
-    """Everything the mode-A objective takes from one pass."""
-    return [weight_quantity(params.dim, params.gamma, params),
-            weight_gradient_quantity(params),
-            functional_quantity(params),
-            functional_gradient_quantity(params)]
-
-
 def _singles(p, params):
-    """The same four from the single-quantity functions."""
-    return [weighted_lp_pow(p, params.dim, params.gamma, params),
-            norms_gradient(p, params)[1], functional(p, params),
-            functional_gradient(p, params)]
+    """J and its gradient from the single-quantity functions."""
+    return [functional(p, params), functional_gradient(p, params)]
 
 
-def _counted(monkeypatch, profile, quantities):
-    """(integrand rounds, results) of one integrate_batch call on one profile."""
+def _counted(monkeypatch, profile, params, gradient=True):
+    """(integrand rounds, results) of one functional_log_batch call on one
+    profile: J and its gradient from one pass, or J alone."""
     rounds = []
     inner = profiles.integrate_segments
 
@@ -52,7 +40,7 @@ def _counted(monkeypatch, profile, quantities):
 
     with monkeypatch.context() as m:
         m.setattr(profiles, "integrate_segments", counting)
-        results = integrate_batch([profile], quantities)[0]
+        results = functional_log_batch([profile], params, gradient=gradient)[0]
     return len(rounds), results
 
 
@@ -179,17 +167,18 @@ class TestWeightedLpPow:
 
     def test_cap_hit_warns_once(self):
         # no tolerance below round-off is reachable: every live segment runs
-        # into the panel cap, and integrate_segments alone reports it
+        # into the panel cap, and integrate_segments alone reports it (the
+        # weight norms are closed forms, so J is the quantity integrated)
         params = make_params((2, 0.0, 0.0))
         p = RadialProfile.from_radii([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
         q = RadialProfile.from_radii([0.5, 3.0], [2.0, 0.0])
         for call, capped in (
-                (lambda: weighted_lp_pow(p, 2.0, 0.0, params, rel_tol=1e-30), 2),
-                (lambda: integrate_batch([p], _all_quantities(params),
-                                         rel_tol=1e-30), 2),
+                (lambda: functional_log(p, params, rel_tol=1e-30), 2),
+                (lambda: functional_log_batch([p], params, rel_tol=1e-30,
+                                              gradient=True), 2),
                 # a batch of several capped profiles still warns once
-                (lambda: weighted_lp_pow_batch([p, ZERO, q, p], 2.0, 0.0, params,
-                                               rel_tol=1e-30), 5)):
+                (lambda: functional_log_batch([p, ZERO, q, p], params,
+                                              rel_tol=1e-30), 5)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 call()
@@ -202,6 +191,16 @@ class TestWeightedLpPow:
             weighted_lp_pow(ZERO, 2.0, 2.0, params)
         with pytest.raises(DomainError):
             weighted_lp_pow(ZERO, 0.5, 0.0, params)
+
+    def test_non_integer_exponent_refused(self):
+        # the closed form sums the Bernstein moments of an integer power
+        params = make_params((2, 0.0, 0.0))
+        p = random_profile(np.random.default_rng(2))
+        for bad in (3.5, 2.000001, math.nan):
+            with pytest.raises(DomainError):
+                weighted_lp_pow(p, bad, 0.0, params)
+        with pytest.raises(DomainError):
+            weighted_lp_pow_batch([p, p], [2.0, 2.5], 0.0, params)
 
 
 class TestNorms:
@@ -432,7 +431,7 @@ class TestFusedPass:
         params = make_params(cell, alpha_ratio=0.9)
         config = OptimizerConfig(node_count=65, random_starts=0)
         for sid, p in starting_profiles(params, config):
-            rounds, fused = _counted(monkeypatch, p, _all_quantities(params))
+            rounds, fused = _counted(monkeypatch, p, params)
             assert rounds == 1, sid
             for got, alone in zip(fused, _singles(p, params)):
                 assert np.array_equal(_as_array(got), _as_array(alone)), sid
@@ -442,25 +441,24 @@ class TestFusedPass:
         if case == "peak":
             params = make_params((2, 0.0, 0.0), alpha_ratio=1.0)
             p = RadialProfile(log_radii=[-3.0, -1.0, 0.0, 1.0, 3.0],
-                              values=[0.5, 1.0, 2.5, 1.0, 0.0])
+                              values=[0.2, 1.0, 2.5, 0.3, 0.0])
         else:
             params = make_params((3, 1.0, 0.5), alpha_ratio=0.9)
             p = dict(starting_profiles(params, OptimizerConfig(node_count=65)))[
                 "moser-5"]
-        rounds, fused = _counted(monkeypatch, p, _all_quantities(params))
-        alone_rounds = [_counted(monkeypatch, p, [q])[0]
-                        for q in _all_quantities(params)]
-        # the fused pass refines some quantity beyond what it needs alone
-        assert min(alone_rounds) < rounds
+        rounds, fused = _counted(monkeypatch, p, params)
+        # the fused pass refines J beyond what it needs alone
+        assert _counted(monkeypatch, p, params, gradient=False)[0] < rounds
         for got, alone in zip(fused, _singles(p, params)):
             got, alone = _as_array(got), _as_array(alone)
             assert np.abs(got - alone).max() <= 1e-10 * np.abs(alone).max()
 
     def test_zero_profile(self):
         params = make_params((3, 1.0, 0.5))
-        w, dw, j, dj = integrate_batch([ZERO], _all_quantities(params))[0]
-        assert w == 0.0 and j.log == -math.inf
-        assert not dw.any() and not dj.any()
+        j, dj = functional_log_batch([ZERO], params, gradient=True)[0]
+        assert j.log == -math.inf and not dj.any()
+        assert weighted_lp_pow(ZERO, 3, 0.5, params) == 0.0
+        assert not norms_gradient(ZERO, params)[1].any()
 
 
 def _mixed_batch(rng, params):
@@ -477,10 +475,10 @@ class TestBatch:
         params = make_params(cell, alpha_ratio=0.9)
         batch = _mixed_batch(np.random.default_rng(17), params)
         # some profile refines a segment past the first round on its own
-        assert max(_counted(monkeypatch, p, [functional_quantity(params)])[0]
+        assert max(_counted(monkeypatch, p, params, gradient=False)[0]
                    for p in batch) > 1
         n, b, g = params.dim, params.beta, params.gamma
-        for p in (1.0, 2.0, float(n), 3.5):
+        for p in (1.0, 2.0, float(n), 7):
             for delta in (0.0, g, b):
                 assert weighted_lp_pow_batch(batch, p, delta, params) == \
                     [weighted_lp_pow(u, p, delta, params) for u in batch]
@@ -500,10 +498,18 @@ class TestBatch:
             [weighted_lp_pow(v, 2.0 * j, 1.0, params) for j in range(1, 31)]
 
     def test_empty_batch(self):
-        assert weighted_lp_pow_batch([], 2.0, 0.0, make_params((2, 0.0, 0.0))) == []
+        params = make_params((2, 0.0, 0.0))
+        assert weighted_lp_pow_batch([], 2.0, 0.0, params) == []
+        # profiles without a live segment, one exponent each
+        assert weighted_lp_pow_batch([ZERO, ZERO], [2, 4], 0.0, params) == [0.0, 0.0]
 
     @pytest.mark.parametrize("cell", [(2, 0.0, 0.0), (3, 1.0, 0.5)], ids=str)
     def test_cuts_match_truncated_profiles(self, cell):
+        # the half-mass radius sums the segments' closed forms cumulatively;
+        # brute force: the first node m whose truncation u * [r < r_m] holds
+        # half the weight norm power, each truncation evaluated on its own
+        from tmlab.optimizer import _half_mass_radius
+
         params = make_params(cell)
         rng = np.random.default_rng(23)
         gappy = RadialProfile(log_radii=np.linspace(-4.0, 3.0, 9),
@@ -511,9 +517,13 @@ class TestBatch:
         for p in (random_profile(rng), random_profile(rng, n_nodes=4), gappy,
                   normalized(5, params).profile):
             n, g = params.dim, params.gamma
-            total, cut = weighted_lp_pow_cuts(p, n, g, params)
-            assert total == weighted_lp_pow(p, n, g, params)
+            total = weighted_lp_pow(p, n, g, params)
+            cuts = []
             for m in range(1, p.num_nodes):
                 values = p.values.copy()
                 values[m:] = 0.0
-                assert cut(m) == weighted_lp_pow(p.with_values(values), n, g, params)
+                cuts.append(weighted_lp_pow(p.with_values(values), n, g, params))
+            assert np.all(np.diff(cuts) >= -1e-15 * total)
+            assert_rel_close(cuts[-1], total, 1e-15)
+            m = next(m for m, cut in enumerate(cuts, 1) if cut >= 0.5 * total)
+            assert _half_mass_radius(p, params) == p.radii[m]

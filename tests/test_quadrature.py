@@ -106,6 +106,18 @@ def test_initial_panels_match_per_interval_linspace(lefts, rights):
                                          _NODES.size))
 
 
+def test_huge_width_clipped_before_the_cast():
+    # ceil(1e20 / 2) has no int64 value: the count is clipped first, so the
+    # interval starts as _MAX_INIT_PANELS panels and nothing warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        t, seg = _first_call_points(np.array([0.0]), np.array([1e20]))
+        vals, _, conv = integrate_segments(lambda t, seg: np.ones_like(t),
+                                           [0.0], [1e20])
+    assert t.size == 64 * _NODES.size and np.all(seg == 0)
+    assert conv.all() and vals[0, 0] == pytest.approx(1e20, rel=1e-14)
+
+
 def test_three_components_one_refining():
     # a narrow Gaussian needs several rounds; a cubic and an exponential
     # converge at once on the same panels

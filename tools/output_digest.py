@@ -57,8 +57,13 @@ def distinct(ops):
     return out
 
 
-def digest(run, op, seed, tmpdir):
-    """The record of one operation run through run(argv)."""
+def run_op(run, op, seed, tmpdir):
+    """Run one operation through run(argv): its command line, exit and output.
+
+    Returns a dict with the command line ("op", the temporary directory
+    written as <tmp>), the exit code (or the exception text), the output
+    file's text (None when none was written), stderr and every warning.
+    """
     path = os.path.join(tmpdir, "output.json")
     argv = list(op.argv) + ["--seed", str(seed if op.seed is None else op.seed),
                             "--jobs", "1", "--format", "json", "--output", path]
@@ -68,17 +73,26 @@ def digest(run, op, seed, tmpdir):
         warnings.simplefilter("always")
         try:
             code = run(argv)
-        except Exception as exc:  # the operation failed; the digest goes on
+        except Exception as exc:  # the operation failed; the run goes on
             traceback.print_exc(file=sys.__stderr__)
             code = f"{type(exc).__name__}: {exc}"
-    sha = None
+    text = None
     if os.path.exists(path):
         with open(path, "rb") as fh:
-            sha = hashlib.sha256(fh.read()).hexdigest()
+            text = fh.read().decode("utf-8")
         os.remove(path)
     return {"op": " ".join(argv[:-1] + [_TMP]).replace(tmpdir, _TMP),
-            "exit": code, "sha256": sha, "stderr": stderr.getvalue(),
+            "exit": code, "text": text, "stderr": stderr.getvalue(),
             "warnings": [f"{w.category.__name__}: {w.message}" for w in caught]}
+
+
+def digest(run, op, seed, tmpdir):
+    """The record of one operation: run_op with the output's sha256."""
+    record = run_op(run, op, seed, tmpdir)
+    text = record.pop("text")
+    record["sha256"] = (None if text is None
+                        else hashlib.sha256(text.encode("utf-8")).hexdigest())
+    return record
 
 
 def digest_lines(workload, seed, select=None):
