@@ -35,6 +35,7 @@ import numpy as np
 from .core import LogValue, ProblemParams, log_phi, phi_derivative, sphere_area
 from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      ValidationError)
+from .dawson import segment_functional
 from .quadrature import integrate_segments
 
 # Default relative tolerance for all segment quadrature.
@@ -160,32 +161,42 @@ class LiveSegments(NamedTuple):
 
     Nodes of all profiles are numbered in turn, profile b's from firsts[b];
     profile b owns entries bounds[b]:bounds[b+1], in segment order, and
-    node, (t0, u0) and (t1, u1) are an entry's left node and end nodes."""
+    node, owner, (t0, u0) and (t1, u1) are an entry's left node, profile and
+    end nodes.  u_first and t_first are each profile's first node."""
 
     profiles: tuple
     bounds: list
     firsts: list
     node: np.ndarray
+    owner: np.ndarray
     t0: np.ndarray
     t1: np.ndarray
     u0: np.ndarray
     u1: np.ndarray
+    u_first: np.ndarray
+    t_first: np.ndarray
 
     @classmethod
     def of(cls, profiles) -> "LiveSegments":
         """The table of one or more profiles."""
         profiles = tuple(profiles)
-        firsts = list(itertools.accumulate((p.num_nodes for p in profiles),
-                                           initial=0))
-        t = np.concatenate([p.log_radii for p in profiles] or [np.zeros(0)])
-        u = np.concatenate([p.values for p in profiles] or [np.zeros(0)])
+        if len(profiles) == 1:
+            (p,) = profiles
+            t, u, firsts = p.log_radii, p.values, [0, p.num_nodes]
+        else:
+            firsts = list(itertools.accumulate((p.num_nodes for p in profiles),
+                                               initial=0))
+            t = np.concatenate([p.log_radii for p in profiles] or [np.zeros(0)])
+            u = np.concatenate([p.values for p in profiles] or [np.zeros(0)])
         live = (u[:-1] > 0.0) | (u[1:] > 0.0)
         if len(profiles) > 1:  # a profile's last node (u = 0) starts no segment
             live[np.array(firsts[1:-1]) - 1] = False
-        node = np.nonzero(live)[0]
+        node = np.flatnonzero(live)
         bounds = [0] + np.searchsorted(node, firsts[1:]).tolist()
-        return cls(profiles, bounds, firsts, node, t[node], t[node + 1],
-                   u[node], u[node + 1])
+        owner = np.searchsorted(bounds[1:], np.arange(node.size), "right")
+        heads = firsts[:-1]
+        return cls(profiles, bounds, firsts, node, owner, t[node], t[node + 1],
+                   u[node], u[node + 1], u[heads], t[heads])
 
 
 @functools.cache
@@ -300,15 +311,13 @@ def _weighted_moments(profiles, p, delta: float, params: ProblemParams,
             f"weight exponent {delta} >= dimension {n}: plateau integral diverges")
     c, exponents = n - delta, np.array(exponents, dtype=int)
     live = LiveSegments.of(profiles)
-    owner = np.searchsorted(live.bounds[1:], np.arange(live.node.size), "right")
+    owner = live.owner
     seg, log_scale, rest, *d_ends = _segment_moments(
         live.t0, live.t1, live.u0, live.u1,
         int(exponents[0]) if uniform else exponents[owner], c, gradient)
-    u_first = np.array([q.values[0] for q in profiles])
-    t_first = np.array([q.log_radii[0] for q in profiles])
-    heads = np.flatnonzero(u_first > 0.0)
-    log_head = np.log(u_first[heads])
-    plateau = (c * t_first[heads] - math.log(c)
+    heads = np.flatnonzero(live.u_first > 0.0)
+    log_head = np.log(live.u_first[heads])
+    plateau = (c * live.t_first[heads] - math.log(c)
                + exponents[0 if uniform else heads] * log_head)
     group = np.concatenate([owner[seg], heads])
     log_scale = np.concatenate([log_scale, plateau])
@@ -329,19 +338,10 @@ def _weighted_moments(profiles, p, delta: float, params: ProblemParams,
     return top, sums, [grad[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
-def functional_log_batch(profiles, params: ProblemParams,
-                         rel_tol: float = TOL_QUAD, gradient=False) -> list:
-    """The functional of each profile as a LogValue; with gradient, (LogValue,
-    node gradient) pairs.  One integrate_segments call takes the live segments
-    of all profiles, refines each on its own and warns once at its panel cap,
-    so a profile's results are as alone, bit for bit.  Each segment's integrand
-    is divided by its maximum, at an end (the exponent is convex in t), so J
-    past overflow stays exact in log.  The gradient rows (the chain rule times
-    the two hat weights) share J's refinement, so J can differ from J alone by
-    up to rel_tol.  Warns if a gradient integrand overflowed."""
-    n, alpha, c = params.dim, params.alpha, params.dim - params.beta
-    q, omega = params.exponent, sphere_area(n)
-    live = LiveSegments.of(profiles)
+def _functional_quadrature(live, params, rel_tol, gradient):
+    """(shift, rows) of the live segments' J integrals by quadrature (N >= 3):
+    row 0 in units of e^shift, then with gradient the two hat-weight rows."""
+    n, alpha, c, q = params.dim, params.alpha, params.dim - params.beta, params.exponent
     dt = live.t1 - live.t0
     slope = (live.u1 - live.u0) / dt
     shift = np.maximum(alpha * live.u0 ** q + c * live.t0,
@@ -362,32 +362,76 @@ def functional_log_batch(profiles, params: ProblemParams,
     vals = np.zeros((3 if gradient else 1, 0))
     if live.node.size:
         vals, _, _ = integrate_segments(rows, live.t0, live.t1, rel_tol=rel_tol)
-    results = []
-    for b, profile in enumerate(live.profiles):
-        lo, hi = live.bounds[b], live.bounds[b + 1]
-        u0, t0 = profile.values[0], profile.log_radii[0]
-        with np.errstate(divide="ignore"):
-            seg_logs = shift[lo:hi] + np.log(vals[0, lo:hi]) + math.log(omega)
-        logs = np.concatenate([
-            [math.log(omega / c) + c * t0 + log_phi(n, alpha * u0 ** q)]
-            if u0 > 0.0 else [], seg_logs[np.isfinite(seg_logs)]])
-        j = LogValue(float(np.logaddexp.reduce(logs)) if logs.size else -math.inf)
-        if not gradient:
-            results.append(j)
-            continue
-        idx = live.node[lo:hi] - live.firsts[b]
-        # left-node integrals of every segment first, then the right-node ones
-        # (an empty bincount is of int dtype)
-        grad = np.bincount(np.concatenate([idx, idx + 1]),
-                           omega * vals[1:, lo:hi].ravel(),
-                           minlength=profile.num_nodes).astype(float)
-        grad[0] += (omega * phi_derivative(n, alpha * u0 ** q)
-                    * alpha * q * u0 ** (q - 1.0) * math.exp(c * t0) / c)
-        if not np.all(np.isfinite(grad)):
-            warnings.warn("node gradient saturated: integrand overflowed",
-                          RuntimeWarning)
-        results.append((j, grad))
-    return results
+    return shift, vals
+
+
+def functional_log_batch(profiles, params: ProblemParams,
+                         rel_tol: float = TOL_QUAD, gradient=False) -> list:
+    """The functional of each profile as a LogValue; with gradient, (LogValue,
+    node gradient) pairs.  Each segment's integral is kept as e^shift times
+    a value, with shift the larger end value of the exponent (convex in t),
+    so J past overflow stays exact in log; a profile's results are the same
+    bit for bit in any batch.  The gradient rows are the chain rule times the
+    two hat weights.  Warns if a gradient row overflowed.
+
+    At N = 2 every segment integral is a closed form in Dawson's function
+    (dawson.segment_functional), exact to rounding with its gradient rows:
+    rel_tol is unused and no panel-cap warning can come from here.  At
+    N >= 3 one integrate_segments call takes the live segments of all
+    profiles, refines each on its own to rel_tol and warns once at its panel
+    cap; the gradient rows share J's refinement, so J can differ from J
+    alone by up to rel_tol.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _functional_log_batch(profiles, params, rel_tol, gradient)
+
+
+def _functional_log_batch(profiles, params, rel_tol, gradient):
+    n, alpha, c = params.dim, params.alpha, params.dim - params.beta
+    q, omega = params.exponent, sphere_area(n)
+    live = LiveSegments.of(profiles)
+    u_first, t_first = live.u_first, live.t_first
+    heads = np.flatnonzero(u_first > 0.0)
+    if n == 2:
+        shift, *vals = segment_functional(live.t0, live.t1, live.u0, live.u1,
+                                          alpha, c, gradient)
+        # the plateau: omega/c e^(c t_0) (e^x - 1) and its d/du_0, x = alpha u_0^2
+        u, ct = u_first[heads], c * t_first[heads]
+        x = alpha * u * u
+        head_logs = math.log(omega / c) + ct + x + np.log(-np.expm1(-x))
+        head_grads = (omega * 2.0 * alpha / c) * u * np.exp(x + ct) if gradient else []
+    else:
+        shift, vals = _functional_quadrature(live, params, rel_tol, gradient)
+        head_logs = [math.log(omega / c) + c * t_first[b]
+                     + log_phi(n, alpha * u_first[b] ** q) for b in heads]
+        head_grads = [omega * phi_derivative(n, alpha * u_first[b] ** q) * alpha * q
+                      * u_first[b] ** (q - 1.0) * math.exp(c * t_first[b]) / c
+                      for b in heads] if gradient else []
+    # each profile's logs in a row, plateau first, padded with -inf, and
+    # summed left to right by one logaddexp reduction
+    bounds, owner = np.array(live.bounds), live.owner
+    logs = np.full((len(live.profiles), 1 + (bounds[1:] - bounds[:-1]).max(initial=0)),
+                   -math.inf)
+    logs[heads, 0] = head_logs
+    seg_logs = shift + np.log(vals[0]) + math.log(omega)
+    seg_logs[~np.isfinite(seg_logs)] = -math.inf
+    logs[owner, 1 + np.arange(owner.size) - bounds[owner]] = seg_logs
+    js = [LogValue(x) for x in np.logaddexp.reduce(logs, axis=1).tolist()]
+    if not gradient:
+        return js
+    # left-node integrals of every segment first, then the right-node ones
+    # (an empty bincount is of int dtype); at N = 2 the rows come in units
+    # of e^shift
+    rows = np.concatenate(vals[1:]) * (np.exp(np.concatenate([shift, shift]))
+                                       if n == 2 else 1.0)
+    firsts = live.firsts
+    grad = np.bincount(np.concatenate([live.node, live.node + 1]), omega * rows,
+                       minlength=firsts[-1]).astype(float)
+    grad[np.array(firsts[:-1])[heads]] += head_grads
+    if not np.isfinite(grad).all():
+        warnings.warn("node gradient saturated: integrand overflowed",
+                      RuntimeWarning)
+    return [(j, grad[a:b]) for j, a, b in zip(js, firsts[:-1], firsts[1:])]
 
 
 def grad_norm_pow(profile: RadialProfile, params: ProblemParams) -> float:
@@ -398,9 +442,9 @@ def grad_norm_pow(profile: RadialProfile, params: ProblemParams) -> float:
     plateau and tail contribute nothing.
     """
     n = params.dim
-    dt = np.diff(profile.log_radii)
-    du = np.diff(profile.values)
-    return sphere_area(n) * float(np.sum(np.abs(du) ** n / dt ** (n - 1)))
+    t, u = profile.log_radii, profile.values
+    dt, du = t[1:] - t[:-1], u[1:] - u[:-1]
+    return sphere_area(n) * float(np.add.reduce(np.abs(du) ** n / dt ** (n - 1)))
 
 
 def grad_norm_pow_gradient(profile: RadialProfile,

@@ -146,3 +146,62 @@ def worst_gradient_error(params, profile):
 def assert_rel_close(a, b, tol, msg=""):
     scale = max(abs(a), abs(b), 1e-300)
     assert abs(a - b) / scale < tol, f"{msg}: {a} vs {b} (rel {abs(a - b) / scale:.3e})"
+
+
+def mp_segment_functional(t0, t1, u0, u1, alpha, c, dps=50):
+    """50-digit (J, left row, right row) of the N = 2 functional on one segment.
+
+    u is affine in t from u0 to u1 on [t0, t1]; J is int (e^(alpha u^2) - 1)
+    e^(c t) dt and the rows are int 2 alpha u e^(alpha u^2 + c t) times the
+    hat weights (t1 - t)/dt and (t - t0)/dt.  The inputs are taken exactly.
+    With w = (t - t0)/dt the exponent is E0 + B w + C w^2; for C > 0 every
+    integral is a polynomial in Y = (B + 2 C w)/(2 sqrt C) times e^(Y^2),
+    whose antiderivatives are e^(Y^2) times a polynomial plus a multiple of
+    F(Y) = (sqrt(pi)/2) erfi(Y); for C = 0, of e^(B w) times a polynomial.
+    The end values are differenced with dps + 150 digits, so that the
+    cancellation of nearly flat segments and of alpha u^2 -> 0 costs
+    none of the dps digits of the result.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps + 150):
+        t0, t1, u0, u1, alpha, c = (mp.mpf(float(x)) for x in (t0, t1, u0, u1, alpha, c))
+        dt, du = t1 - t0, u1 - u0
+        z = c * dt
+        e0 = alpha * u0 ** 2 + c * t0
+        b = 2 * alpha * u0 * du + z
+        cq = alpha * du ** 2
+        ramp = (mp.exp(c * t1) - mp.exp(c * t0)) / c
+
+        def moments():
+            """int_0^1 w^k e^(E0 + B w + C w^2) dw for k = 0, 1, 2."""
+            if cq == 0:
+                # [e^(B w) (w^k/B - k w^(k-1)/B^2 + k(k-1) w^(k-2)/B^3)]
+                e1 = mp.exp(e0 + b)
+                m0 = (e1 - mp.exp(e0)) / b
+                m1 = e1 / b - m0 / b
+                m2 = e1 / b - 2 * m1 / b
+                return m0, m1, m2
+            r = mp.sqrt(cq)
+            y0, y1 = b / (2 * r), (b + 2 * cq) / (2 * r)
+            k = e0 - y0 ** 2  # E = Y^2 + k
+
+            def prims(y):
+                f = mp.sqrt(mp.pi) / 2 * mp.erfi(y)
+                g = mp.exp(y ** 2)
+                return f, g / 2, (y * g - f) / 2  # of e^(Y^2), Y e^(Y^2), Y^2 e^(Y^2)
+
+            p = [q1 - q0 for q0, q1 in zip(prims(y0), prims(y1))]
+            # w = (Y - y0)/r
+            m0 = p[0] / r
+            m1 = (p[1] - y0 * p[0]) / r ** 2
+            m2 = (p[2] - 2 * y0 * p[1] + y0 ** 2 * p[0]) / r ** 3
+            return tuple(mp.exp(k) * m for m in (m0, m1, m2))
+
+        m0, m1, m2 = moments()
+        j = dt * m0 - ramp
+        # 2 alpha u w^k = 2 alpha (u0 w^k + du w^(k+1))
+        left = 2 * alpha * dt * (u0 * (m0 - m1) + du * (m1 - m2))
+        right = 2 * alpha * dt * (u0 * m1 + du * m2)
+    with mp.workdps(dps):
+        return +j, +left, +right

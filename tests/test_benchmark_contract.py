@@ -45,7 +45,8 @@ def test_every_target_resolves(tracing):
 
 
 def test_install_traces_and_uninstall_restores(tracing, tmp_path):
-    argv = ["transform-check", "--dim", "2", "--alpha-ratio", "0.5", "--beta",
+    # at N = 3, where J is integrated (at N = 2 it is a closed form)
+    argv = ["transform-check", "--dim", "3", "--alpha-ratio", "0.5", "--beta",
             "1.0", "--gamma", "0.5", "--count", "3",
             "--output", str(tmp_path / "out.csv")]
     before = _tmlab_bindings()
@@ -70,5 +71,10 @@ def test_micro_runs(tracing):
     before = _tmlab_bindings()
     out = tracing.micro(reps=1)
     assert set(out) == set(tracing.MICRO)
-    assert all(math.isfinite(v) and v > 0.0 for v in out.values())
+    # micro() splits integrate_segments inside an N = 2 J, which is a closed
+    # form without it: those two may read exactly 0
+    split = {"micro.integrate_segments_setup_ms",
+             "micro.integrate_segments_integrand_ms"}
+    assert all(math.isfinite(v) and (v > 0.0 or (k in split and v == 0.0))
+               for k, v in out.items())
     assert _tmlab_bindings() == before

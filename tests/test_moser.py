@@ -1,5 +1,8 @@
 import math
+import sys
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -11,7 +14,7 @@ from tmlab.moser import (asymptotic_lower_scan, build, normalized,
                          plateau_lower_bound, select_index,
                          weight_norm_closed_form, weight_norm_limit)
 
-from conftest import MATRIX, assert_rel_close, make_params
+from conftest import MATRIX, assert_rel_close, make_params, mp_segment_functional
 
 
 class TestBuild:
@@ -218,3 +221,31 @@ class TestFunctionalOnNormalizedFamily:
         for n in (1, 50, 200):
             lv = functional_log(normalized(n, params).profile, params)
             assert not lv.saturated
+
+
+class TestDeepElementsN2:
+    """At N = 2 J is a closed form, so every buildable index evaluates right.
+
+    log J of the normalized element must be finite, raise no warning and
+    match a 50-digit evaluation of the stored nodes to max(1e-12, 8 n eps):
+    the n eps term is the rounding of t0 = -n/(2 - beta) itself.
+    """
+
+    @pytest.mark.parametrize("alpha", [4.0, None], ids=["alpha4", "critical"])
+    @pytest.mark.parametrize("cell", [c for c in MATRIX if c[0] == 2], ids=str)
+    def test_log_j_matches_mpmath(self, cell, alpha):
+        params = make_params(cell, alpha=alpha, alpha_ratio=1.0)
+        c = 2.0 - params.beta
+        for k in range(5, 13):
+            n = 10 ** k
+            profile = normalized(n, params).profile
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = functional_log(profile, params).log
+            assert math.isfinite(got), n
+            (t0, t1), (u0, u1) = profile.log_radii, profile.values
+            with mp.workdps(60):
+                head = mp.exp(c * mp.mpf(t0)) * mp.expm1(params.alpha * mp.mpf(u0) ** 2) / c
+                cone = mp_segment_functional(t0, t1, u0, u1, params.alpha, c)[0]
+                want = mp.log(2 * mp.pi * (head + cone))
+            assert abs(got - float(want)) <= max(1e-12, 8 * n * sys.float_info.epsilon), n

@@ -195,12 +195,12 @@ class TestDefaultConfigValues:
     # arithmetic on that path shows here
     def test_mode_a_at_half_critical(self):
         res = maximize_A(make_params((2, 0.0, 0.0), alpha_ratio=0.5))
-        assert_rel_close(res.value, 13.439947706323062, 1e-9, "sup A")
+        assert_rel_close(res.value, 13.441083614057641, 1e-9, "sup A")
         assert res.start_id == "bump"
 
     def test_mode_b_at_critical(self):
         res = maximize_B(make_params((2, 0.0, 0.0), alpha_ratio=1.0))
-        assert_rel_close(res.value, 14.278001436318617, 1e-9, "sup B")
+        assert_rel_close(res.value, 14.271839247371013, 1e-9, "sup B")
         assert res.start_id == "moser-5"
 
 

@@ -168,8 +168,8 @@ class TestWeightedLpPow:
     def test_cap_hit_warns_once(self):
         # no tolerance below round-off is reachable: every live segment runs
         # into the panel cap, and integrate_segments alone reports it (the
-        # weight norms are closed forms, so J is the quantity integrated)
-        params = make_params((2, 0.0, 0.0))
+        # weight norms are closed forms, and J is integrated at N >= 3 only)
+        params = make_params((3, 1.0, 0.5))
         p = RadialProfile.from_radii([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
         q = RadialProfile.from_radii([0.5, 3.0], [2.0, 0.0])
         for call, capped in (
@@ -426,11 +426,14 @@ class TestCknEmbeddingSanity:
 
 
 class TestFusedPass:
-    @pytest.mark.parametrize("cell", [(2, 0.0, 0.0), (2, 1.0, 0.5)], ids=str)
+    # J is integrated at N >= 3 only (at N = 2 it is a closed form)
+    @pytest.mark.parametrize("cell", [(3, 1.0, 0.5), (3, 0.0, -1.0)], ids=str)
     def test_first_round_profiles_bit_identical(self, cell, monkeypatch):
-        params = make_params(cell, alpha_ratio=0.9)
-        config = OptimizerConfig(node_count=65, random_starts=0)
-        for sid, p in starting_profiles(params, config):
+        # the concentrating starts on a fine grid at a small alpha need one
+        # round (the bump's tail segment refines at N = 3)
+        params = make_params(cell, alpha_ratio=0.1)
+        config = OptimizerConfig(node_count=513, random_starts=0)
+        for sid, p in starting_profiles(params, config)[:len(config.moser_starts)]:
             rounds, fused = _counted(monkeypatch, p, params)
             assert rounds == 1, sid
             for got, alone in zip(fused, _singles(p, params)):
@@ -439,7 +442,7 @@ class TestFusedPass:
     @pytest.mark.parametrize("case", ["peak", "N3_moser"])
     def test_refining_profile_within_rel_tol(self, case, monkeypatch):
         if case == "peak":
-            params = make_params((2, 0.0, 0.0), alpha_ratio=1.0)
+            params = make_params((3, 1.0, 0.5), alpha_ratio=1.0)
             p = RadialProfile(log_radii=[-3.0, -1.0, 0.0, 1.0, 3.0],
                               values=[0.2, 1.0, 2.5, 0.3, 0.0])
         else:
@@ -475,8 +478,9 @@ class TestBatch:
         params = make_params(cell, alpha_ratio=0.9)
         batch = _mixed_batch(np.random.default_rng(17), params)
         # some profile refines a segment past the first round on its own
-        assert max(_counted(monkeypatch, p, params, gradient=False)[0]
-                   for p in batch) > 1
+        # (J is a closed form at N = 2)
+        assert params.dim == 2 or max(
+            _counted(monkeypatch, p, params, gradient=False)[0] for p in batch) > 1
         n, b, g = params.dim, params.beta, params.gamma
         for p in (1.0, 2.0, float(n), 7):
             for delta in (0.0, g, b):
