@@ -32,13 +32,14 @@ segment takes the same formulas.  Below Y_BIG, D, S_1 and S_2 come from
 piecewise polynomial fits (_dawson_table, made by
 tools/dawson_coefficients.py).
 
-Two regimes cancel.  Where the exponent barely changes over a segment,
-|B| + C <= _SERIES_RANGE, the end values are close and their difference
-loses digits: there the moments are the power series of e^(B w + C w^2),
-and the functional's "-1" is taken out of that series term by term.
-Elsewhere the "-1", int e^(c t) dw, is taken out end by end on segments
-with c dt >= 1, where it cancels against a small alpha u^2 (the tail of a
-deep concentrating element), and as a whole on shorter ones.
+Two regimes cancel.  Where the exponent changes by at most _SMALL_RANGE
+over a segment, |B| + C <= _SMALL_RANGE, the end values are close and their
+difference loses digits; there the integrands are entire with small Taylor
+coefficients, and a fixed Gauss-Legendre sum is exact for their Taylor
+polynomial to far past rounding (no adaptivity, no error estimate needed).
+And where alpha u^2 is small, the functional's "-1", int e^(c t) dw, cancels
+against e^E: it is taken out pointwise in that sum, and end by end on
+longer segments (c dt >= 1), as on the tail of a deep concentrating element.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ The multistart legs run in lock step.  Each leg is a generator that yields
 its next evaluation request: a mode-A objective, a mode-B objective, or one
 J value of the dilation polish.  At every step _drive groups the pending
 requests of all legs by kind and node count and answers each group with one
-batched call.  The norms are closed forms, so a step costs one quadrature
-pass per group, whatever the number of legs.  The batch functions of
+batched call.  The norms are closed forms, and so is J at N = 2, so a step
+costs one quadrature pass per group at N >= 3 and none at N = 2, whatever
+the number of legs.  The batch functions of
 profiles give each profile the same bits as a batch of one, so every leg
 computes exactly what it computes alone; an executor pool runs the legs one
 at a time through _ascend and returns the same result.
@@ -175,9 +176,9 @@ def _objective_b(values, radii, params, quad_tol):
 
     values and radii are one profile's nodes, giving (value, gradient), or
     (k, nodes) arrays of k profiles, giving a list of k such pairs.  The
-    weight norm power and its gradient on each u are closed forms; one
-    quadrature pass for the whole batch gives J and its gradient on each
-    normalized profile.
+    weight norm power and its gradient on each u are closed forms; one J
+    pass for the whole batch (a closed form at N = 2, quadrature at N >= 3)
+    gives J and its gradient on each normalized profile.
     """
     single = np.ndim(values) == 1
     values, radii = np.atleast_2d(values), np.atleast_2d(radii)
@@ -205,7 +206,7 @@ def _objective_a(values, radii, params, quad_tol):
 
     theta = (N - beta)/(N - gamma); dividing by the weight norm power to theta
     equals dilating v onto the unit weight sphere, by the dilation identity.
-    One quadrature pass on the v of the whole batch gives J and its gradient;
+    One J pass on the v of the whole batch gives J and its gradient;
     both norm powers and their gradients are closed forms.  values and radii
     are as in _objective_b.
     """
@@ -236,7 +237,7 @@ def _objective_a(values, radii, params, quad_tol):
 
 
 def _functional_values(values, radii, params, quad_tol):
-    """J of each profile of a (k, nodes) batch, from one quadrature pass."""
+    """J of each profile of a (k, nodes) batch, from one J pass."""
     profiles = [RadialProfile.from_radii(r, u) for u, r in zip(values, radii)]
     return [j.value for j in functional_log_batch(profiles, params, quad_tol)]
 

@@ -11,12 +11,14 @@ change of functions, both affine maps of t, and it contains the concentrating
 log-cone sequences exactly.  So the gradient norm and every weighted moment
 int u^p r^(N-1-delta) dr with integer p have closed forms (the latter a sum
 of Bernstein moments, see _segment_moments), exact to rounding with their
-node gradients.  The exponential functional is integrated segment by segment
-with adaptive Gauss-Kronrod quadrature in t, where its integrand is smooth:
-functional_log_batch lays the live segments of all profiles of a batch end
-to end as the intervals of one quadrature call, with the gradient rows in
-the same pass when asked.  Every batch function gives each profile the same
-bits as a batch of one.
+node gradients.  So has the exponential functional at N = 2, where
+Phi_2(x) = e^x - 1: its segment integrals and gradient rows are end values
+of Dawson's function (dawson.segment_functional).  At N >= 3 the functional
+is integrated segment by segment with adaptive Gauss-Kronrod quadrature in
+t, where its integrand is smooth: functional_log_batch lays the live
+segments of all profiles of a batch end to end as the intervals of one
+quadrature call, with the gradient rows in the same pass when asked.  Every
+batch function gives each profile the same bits as a batch of one.
 """
 
 from __future__ import annotations
