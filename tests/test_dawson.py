@@ -24,8 +24,8 @@ EPS = sys.float_info.epsilon
 N2_CELLS = [cell for cell in MATRIX if cell[0] == 2]
 
 
-def _segments(seed):
-    """Seeded segments (t0, t1, u0, u1), 30 of each kind."""
+def _segments(seed, alpha, c):
+    """Seeded segments (t0, t1, u0, u1), 30 of each kind, for alpha u^2 + c t."""
     rng = np.random.default_rng(seed)
     out = []
 
@@ -45,14 +45,16 @@ def _segments(seed):
     for _ in range(30):  # alpha u^2 <= 1e-12 on the whole segment
         add(rng.uniform(-5, 5), 10 ** rng.uniform(-2, math.log10(30)),
             rng.uniform(0, 2.8e-7), rng.uniform(0, 2.8e-7))
-    for _ in range(30):  # |y| > 30: |s| < (2 - beta)/(60 sqrt(alpha)) for these
+    for _ in range(30):  # |y| > 30: y = sqrt(alpha) (u + c/(2 alpha s)), s = du/dt
         u0, dt = rng.uniform(0, 1.5), rng.uniform(0.5, 30)
-        add(rng.uniform(-5, 5), dt, u0, u0 + rng.uniform(-1, 1) * 0.008 * dt)
+        s = rng.uniform(-1, 1) * c / (2 * math.sqrt(alpha) * (30 + math.sqrt(alpha) * 1.5))
+        add(rng.uniform(-5, 5), dt, u0, u0 + s * dt)
     for _ in range(30):  # to or from 0, the tail and the foot of a profile
         u, dt = 10 ** rng.uniform(-7, 0.5), 10 ** rng.uniform(-2, math.log10(30))
         add(rng.uniform(-5, 5), dt, *((u, 0.0) if _ % 2 else (0.0, u)))
     for _ in range(30):  # the exponent past 709, where only its log is finite
-        add(rng.uniform(200, 400), rng.uniform(0.1, 30), rng.uniform(0, 9), rng.uniform(0, 9))
+        add(rng.uniform(710, 900) / c, rng.uniform(0.1, 30), rng.uniform(0, 9),
+            rng.uniform(0, 9))
     for _ in range(30):  # steep cones, as of a concentrating element
         add(rng.uniform(-40, -1), rng.uniform(1, 30), rng.uniform(1, 8), 0.0)
     return [s for s in out if s[2] > 0.0 or s[3] > 0.0]
@@ -61,7 +63,7 @@ def _segments(seed):
 @pytest.mark.parametrize("alpha, c", [(4 * math.pi, 2.0), (2 * math.pi, 1.0),
                                       (4.0, 1.5), (0.5, 2.0)])
 def test_segments_match_mpmath(alpha, c):
-    segs = _segments(int(alpha * 10 + c))
+    segs = _segments(int(alpha * 10 + c), alpha, c)
     assert len(segs) >= 200
     t0, t1, u0, u1 = (np.array(x) for x in zip(*segs))
     shift, value, left, right = segment_functional(t0, t1, u0, u1, alpha, c,
@@ -80,7 +82,7 @@ def test_segments_match_mpmath(alpha, c):
 
 def test_each_segment_as_alone():
     alpha, c = 4 * math.pi, 1.0
-    segs = _segments(3)
+    segs = _segments(3, alpha, c)
     t0, t1, u0, u1 = (np.array(x) for x in zip(*segs))
     together = segment_functional(t0, t1, u0, u1, alpha, c, gradient=True)
     for k in range(len(segs)):
