@@ -12,9 +12,10 @@ power is exactly 1.  Profiles are stored in t, so an element can be built
 however far its plateau radius e^-b_n lies below the smallest double; only an
 index whose depth overflows the closed forms is refused.  The weighted L^N
 norm power has the closed form I + II with an incomplete-gamma tail, which
-the quadrature route must reproduce; the plateau piece of the exponential
-functional gives a rigorous lower bound that diverges above the critical
-coefficient and powers the near-critical scan.
+the segment closed form of profiles.weighted_lp_pow must reproduce; the
+plateau piece of the exponential functional gives a rigorous lower bound
+that diverges above the critical coefficient and powers the near-critical
+scan.
 """
 
 from __future__ import annotations

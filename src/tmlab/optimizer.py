@@ -1,13 +1,16 @@
 """Constrained maximization of the two weighted exponential-functional suprema.
 
-Both problems are driven through scale-invariant composite objectives that
-build the constraints in exactly, using the representation's closed-form
-scaling laws:
+Both problems are driven through one family of scale-invariant objectives
+that build the constraints in exactly, using the representation's
+closed-form scaling laws:
 
-  mode B   R(u) = J(u / ||u||_X)        full-norm unit sphere by construction
-  mode A   R(u) = J(v) / ||v||_w^theta  with v = u / ||grad u||_N, using
-           J(dilate(v, lam)) = lam^-(N-beta) J(v) to fold the weight-norm
-           normalization into the ratio (the rescaling-equivalence identity)
+  R(u) = J(s u) w(s u)^-theta,   s = (g + kappa w)^(-1/N)
+
+with g and w the gradient and weight norm powers of u.  Mode B, (theta,
+kappa) = (0, 1), is J on the full-norm unit sphere.  Mode A, ((N - beta)/(N -
+gamma), 0), is J on the gradient unit sphere over the weight norm power to
+theta; by J(dilate(v, lam)) = lam^-(N-beta) J(v) that equals J of v dilated
+onto the unit weight sphere (the rescaling-equivalence identity).
 
 On these fixed-coordinate objectives a box-projected L-BFGS ascent with an
 Armijo backtracking line search is valid and fast; the grid's zero lower
@@ -171,69 +174,48 @@ def starting_profiles(params: ProblemParams, config: OptimizerConfig):
     return starts
 
 
-def _objective_b(values, radii, params, quad_tol):
-    """R(u) = J(u / ||u||_X) and its gradient on fixed radii grids.
+def _objective(values, radii, params, quad_tol, theta, kappa):
+    """R(u) = J(v) w(v)^-theta, v = s u, s = (g + kappa w)^(-1/N), and its gradient.
 
-    values and radii are one profile's nodes, giving (value, gradient), or
-    (k, nodes) arrays of k profiles, giving a list of k such pairs.  The
-    weight norm power and its gradient on each u are closed forms; one J
-    pass for the whole batch (a closed form at N = 2, quadrature at N >= 3)
-    gives J and its gradient on each normalized profile.
+    g and w are the gradient and weight norm powers of u, both closed forms
+    with their node gradients; w(v) = s^N w and grad_v w = s^(N-1) grad w by
+    homogeneity.  One J pass for the whole batch (a closed form at N = 2,
+    quadrature at N >= 3) gives J and its gradient at each v.  values and
+    radii are one profile's nodes, giving (value, gradient), or (k, nodes)
+    arrays of k profiles, giving a list of k such pairs.
     """
     single = np.ndim(values) == 1
     values, radii = np.atleast_2d(values), np.atleast_2d(radii)
     n = params.dim
     out = [(0.0, np.zeros_like(u)) for u in values]
     profs = [RadialProfile.from_radii(r, u) for u, r in zip(values, radii)]
-    weights = weight_norm_batch(profs, params)
     live = []
-    for i, (prof, (w_pow, d_weight)) in enumerate(zip(profs, weights)):
-        full_pow = grad_norm_pow(prof, params) + w_pow
-        if full_pow > 0.0:
-            live.append((i, prof, d_weight, full_pow, full_pow ** (-1.0 / n)))
-    passes = functional_log_batch(
-        [prof.scaled(scale) for _, prof, _, _, scale in live], params,
-        quad_tol, gradient=True)
-    for (i, prof, d_weight, full_pow, scale), (j, g) in zip(live, passes):
-        grad = scale * g - (float(g @ values[i]) / n) * (scale / full_pow) \
-            * (grad_norm_pow_gradient(prof, params) + d_weight)
-        out[i] = (j.value, grad)
+    for i, (prof, (w, d_w)) in enumerate(zip(profs, weight_norm_batch(profs, params))):
+        full = grad_norm_pow(prof, params) + kappa * w
+        if full > 0.0 and w > 0.0:
+            live.append((i, prof, w, d_w, full, full ** (-1.0 / n)))
+    passes = functional_log_batch([prof.scaled(s) for _, prof, *_, s in live],
+                                  params, quad_tol, gradient=True)
+    for (i, prof, w, d_w, full, s), (j, g_j) in zip(live, passes):
+        j, w_v = j.value, w * s ** n
+        # dR/dv, then pulled back through v = s(u) u
+        dr = (g_j * w_v ** -theta
+              - theta * j * w_v ** (-theta - 1.0) * s ** (n - 1) * d_w)
+        grad = s * dr - (float(dr @ values[i]) / n) * (s / full) \
+            * (grad_norm_pow_gradient(prof, params) + kappa * d_w)
+        out[i] = (j * w_v ** -theta, grad)
     return out[0] if single else out
+
+
+def _objective_b(values, radii, params, quad_tol):
+    """Mode B, R(u) = J(u / ||u||_X): theta = 0 on the full-norm sphere."""
+    return _objective(values, radii, params, quad_tol, 0.0, 1.0)
 
 
 def _objective_a(values, radii, params, quad_tol):
-    """R(u) = J(v) / ||v||_w^theta with v = u / ||grad u||; gradient by chain rule.
-
-    theta = (N - beta)/(N - gamma); dividing by the weight norm power to theta
-    equals dilating v onto the unit weight sphere, by the dilation identity.
-    One J pass on the v of the whole batch gives J and its gradient;
-    both norm powers and their gradients are closed forms.  values and radii
-    are as in _objective_b.
-    """
-    single = np.ndim(values) == 1
-    values, radii = np.atleast_2d(values), np.atleast_2d(radii)
-    n = params.dim
-    theta = (n - params.beta) / (n - params.gamma)
-    out = [(0.0, np.zeros_like(u)) for u in values]
-    live = []
-    for i, (u, r) in enumerate(zip(values, radii)):
-        prof = RadialProfile.from_radii(r, u)
-        g_pow = grad_norm_pow(prof, params)
-        if g_pow > 0.0:
-            live.append((i, prof, g_pow, g_pow ** (-1.0 / n)))
-    vs = [prof.scaled(c) for _, prof, _, c in live]
-    passes = functional_log_batch(vs, params, quad_tol, gradient=True)
-    for (i, prof, g_pow, c), (w_pow, d_weight_v), (j_log, g_j) in zip(
-            live, weight_norm_batch(vs, params), passes):
-        if w_pow <= 0.0:
-            continue
-        j = j_log.value
-        value = j * w_pow ** (-theta)
-        # dF/dv, then pull back through v = c(u) * u
-        df = g_j * w_pow ** (-theta) - theta * j * w_pow ** (-theta - 1.0) * d_weight_v
-        dc = -(1.0 / n) * g_pow ** (-1.0 / n - 1.0) * grad_norm_pow_gradient(prof, params)
-        out[i] = (value, c * df + float(df @ values[i]) * dc)
-    return out[0] if single else out
+    """Mode A, R(u) = J(v) / ||v||_w^theta with v = u / ||grad u||."""
+    theta = (params.dim - params.beta) / (params.dim - params.gamma)
+    return _objective(values, radii, params, quad_tol, theta, 0.0)
 
 
 def _functional_values(values, radii, params, quad_tol):

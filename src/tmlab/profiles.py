@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import LogValue, ProblemParams, log_phi, phi_derivative, sphere_area
+from .core import LogValue, ProblemParams, log_phi, sphere_area
 from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      ValidationError)
 from .dawson import segment_functional
@@ -132,12 +132,11 @@ class RadialProfile:
     @classmethod
     def from_dict(cls, data: dict) -> "RadialProfile":
         try:
-            return cls.from_radii(data["radii"], data["values"])
-        except (KeyError, TypeError) as exc:
+            radii = np.asarray(data["radii"], dtype=float)
+            values = np.asarray(data["values"], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed profile object: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return cls.from_radii(radii, values)
 
     @classmethod
     def from_json(cls, text: str) -> "RadialProfile":
@@ -342,7 +341,9 @@ def _weighted_moments(profiles, p, delta: float, params: ProblemParams,
 
 def _functional_quadrature(live, params, rel_tol, gradient):
     """(shift, rows) of the live segments' J integrals by quadrature (N >= 3):
-    row 0 in units of e^shift, then with gradient the two hat-weight rows."""
+    row 0, then with gradient the two hat-weight rows, all in units of
+    e^shift.  The rows' Phi_N' = Phi_(N-1) is taken in log scale with e^(c t),
+    so neither overflows where the other underflows."""
     n, alpha, c, q = params.dim, params.alpha, params.dim - params.beta, params.exponent
     dt = live.t1 - live.t0
     slope = (live.u1 - live.u0) / dt
@@ -351,12 +352,11 @@ def _functional_quadrature(live, params, rel_tol, gradient):
 
     def rows(t, seg):
         u = np.maximum(live.u0[seg] + slope[seg] * (t - live.t0[seg]), 0.0)
-        with np.errstate(divide="ignore"):
-            out = [np.exp(log_phi(n, alpha * u ** q) + c * t - shift[seg])[None, :]]
+        x = alpha * u ** q
+        out = [np.exp(log_phi(n, x) + c * t - shift[seg])[None, :]]
         if gradient:
-            with np.errstate(over="ignore"):
-                b = (phi_derivative(n, alpha * u ** q)
-                     * alpha * q * u ** (q - 1.0) * np.exp(c * t))
+            b = alpha * q * np.exp(log_phi(n - 1, x) + (q - 1.0) * np.log(u)
+                                   + c * t - shift[seg])
             w_right = (t - live.t0[seg]) / dt[seg]
             out.append(np.stack([b * (1.0 - w_right), b * w_right]))
         return np.concatenate(out)
@@ -406,9 +406,10 @@ def _functional_log_batch(profiles, params, rel_tol, gradient):
         shift, vals = _functional_quadrature(live, params, rel_tol, gradient)
         head_logs = [math.log(omega / c) + c * t_first[b]
                      + log_phi(n, alpha * u_first[b] ** q) for b in heads]
-        head_grads = [omega * phi_derivative(n, alpha * u_first[b] ** q) * alpha * q
-                      * u_first[b] ** (q - 1.0) * math.exp(c * t_first[b]) / c
-                      for b in heads] if gradient else []
+        head_grads = [omega * alpha * q / c * np.exp(
+            log_phi(n - 1, alpha * u_first[b] ** q)
+            + (q - 1.0) * math.log(u_first[b]) + c * t_first[b])
+            for b in heads] if gradient else []
     # each profile's logs in a row, plateau first, padded with -inf, and
     # summed left to right by one logaddexp reduction
     bounds, owner = np.array(live.bounds), live.owner
@@ -421,11 +422,9 @@ def _functional_log_batch(profiles, params, rel_tol, gradient):
     js = [LogValue(x) for x in np.logaddexp.reduce(logs, axis=1).tolist()]
     if not gradient:
         return js
-    # left-node integrals of every segment first, then the right-node ones
-    # (an empty bincount is of int dtype); at N = 2 the rows come in units
-    # of e^shift
-    rows = np.concatenate(vals[1:]) * (np.exp(np.concatenate([shift, shift]))
-                                       if n == 2 else 1.0)
+    # left-node integrals of every segment first, then the right-node ones,
+    # in units of e^shift (an empty bincount is of int dtype)
+    rows = np.concatenate(vals[1:]) * np.exp(np.concatenate([shift, shift]))
     firsts = live.firsts
     grad = np.bincount(np.concatenate([live.node, live.node + 1]), omega * rows,
                        minlength=firsts[-1]).astype(float)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from tmlab import (ProblemParams, RadialProfile, at_normalize,
                    critical_alpha_beta, functional, grad_norm_pow, norms)
 from tmlab.moser import normalized
-from tmlab.profiles import weighted_lp_pow_batch
+from tmlab.profiles import functional_log_batch, weighted_lp_pow_batch
 from tmlab.analysis import (g_factor, lemma2_transport, moment_ratio_table,
                             orbit_derivative, relation_scan,
                             theorem13_transport)
@@ -209,6 +210,30 @@ class TestOrbitDerivative:
             total += terms[-1]
         assert rep.terms == tuple(terms)
         assert rep.series == total
+
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
+    def test_series_matches_closed_form_gradient(self, beta):
+        # N = 2, gamma = beta: sum_j j alpha^j m_2j / j! = int alpha v^2
+        # e^(alpha v^2) = K = grad J(v).v / 2 (Euler), so the series is
+        # (1 - beta/2) (b K - (a + b) J) with a, b the norm powers; this ties
+        # the chunked moments to the closed-form gradient rows
+        params = make_params((2, beta, beta))
+        crit = critical_alpha_beta(params)
+        rng = np.random.default_rng(151)
+        profiles = [normalized(n, params).profile for n in (1, 10, 60)]
+        profiles += [random_profile(rng, n_nodes=k) for k in (3, 12) for _ in range(8)]
+        for ratio in (0.1, 0.6, 0.95, 1.0):
+            at = replace(params, alpha=ratio * crit)
+            for p in profiles:
+                v = p.scaled(norms(p, params).full_pow ** -0.5)
+                rep = norms(v, params)
+                a, b = rep.grad_pow, rep.weight_pow
+                ((j, grad),) = functional_log_batch([v], at, gradient=True)
+                k = 0.5 * float(grad @ v.values)
+                closed = (1.0 - beta / 2.0) * (b * k - (a + b) * j.value)
+                series = orbit_derivative(v, at.alpha, params).series
+                bound = 1e-13 * (1.0 - beta / 2.0) * (b * k + (a + b) * j.value)
+                assert abs(series - closed) <= bound, (ratio, p.num_nodes)
 
     def test_unweighted_factor_is_one(self):
         # beta = 0 reduces the prefactor (1 - beta/2) to 1: first term is

@@ -22,7 +22,7 @@ def invoke(tmp_path, name, *argv, output=None):
 class TestEval:
     def test_zero_profile(self, tmp_path):
         pfile = tmp_path / "zero.json"
-        pfile.write_text(RadialProfile.from_radii([1.0], [0.0]).to_json())
+        pfile.write_text(json.dumps(RadialProfile.from_radii([1.0], [0.0]).to_dict()))
         rc, out = invoke(tmp_path, "eval", "--dim", "2", "--alpha", "1.0",
                          "--beta", "0", "--gamma", "0", "--profile", str(pfile))
         assert rc == 0
@@ -47,7 +47,7 @@ class TestEval:
 
         params = ProblemParams(2, 1.0, 1.0, 0.5)
         pfile = tmp_path / "moser10.json"
-        pfile.write_text(build(10, params).profile.to_json())
+        pfile.write_text(json.dumps(build(10, params).profile.to_dict()))
         rc, out = invoke(tmp_path, "eval", "--dim", "2", "--alpha-ratio", "0.5",
                          "--beta", "1.0", "--gamma", "0.5",
                          "--profile", str(pfile))
@@ -60,16 +60,21 @@ class TestEval:
                   "--gamma", "0", "--profile", str(tmp_path / "nope.json")])
         assert rc == 2
 
-    def test_malformed_file_exit_2(self, tmp_path):
+    def test_malformed_file_exit_2(self, tmp_path, capsys):
+        # broken JSON, and well-formed JSON with a non-numeric entry
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        rc = run(["eval", "--dim", "2", "--alpha", "1.0", "--beta", "0",
-                  "--gamma", "0", "--profile", str(bad)])
-        assert rc == 2
+        for text in ("{not json", '{"radii": [1, 2], "values": ["x", 0]}',
+                     '{"radii": ["a", 2], "values": [1, 0]}'):
+            bad.write_text(text)
+            for command in ("eval", "orbit"):
+                rc = run([command, "--dim", "2", "--alpha", "1.0", "--beta", "0",
+                          "--gamma", "0", "--profile", str(bad)])
+                assert rc == 2, (command, text)
+                assert "malformed profile" in capsys.readouterr().err
 
     def test_infeasible_params_exit_3(self, tmp_path):
         pfile = tmp_path / "zero.json"
-        pfile.write_text(RadialProfile.from_radii([1.0], [0.0]).to_json())
+        pfile.write_text(json.dumps(RadialProfile.from_radii([1.0], [0.0]).to_dict()))
         rc = run(["eval", "--dim", "2", "--alpha", "1.0", "--beta", "3.0",
                   "--gamma", "0", "--profile", str(pfile)])
         assert rc == 3

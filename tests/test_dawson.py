@@ -7,6 +7,8 @@ integrals from mpmath's erfi with the plain antiderivatives.
 """
 
 import math
+import pathlib
+import subprocess
 import sys
 
 import mpmath as mp
@@ -118,3 +120,12 @@ def test_dilation_law(cell, seed, nodes, sigma):
     lhs = functional_log(dilate(u, math.exp(sigma)), params).log
     rhs = functional_log(u, params).log - (2.0 - params.beta) * sigma
     assert abs(lhs - rhs) <= 1e-13
+
+
+def test_table_is_the_generator_output():
+    # _dawson_table.py says "do not edit": regenerating it must give its bytes
+    root = pathlib.Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "tools" / "dawson_coefficients.py")],
+        capture_output=True, timeout=300, check=True)
+    assert proc.stdout == (root / "src" / "tmlab" / "_dawson_table.py").read_bytes()

@@ -195,7 +195,7 @@ class TestDefaultConfigValues:
     # arithmetic on that path shows here
     def test_mode_a_at_half_critical(self):
         res = maximize_A(make_params((2, 0.0, 0.0), alpha_ratio=0.5))
-        assert_rel_close(res.value, 13.441083614057641, 1e-9, "sup A")
+        assert_rel_close(res.value, 13.440784313528077, 1e-9, "sup A")
         assert res.start_id == "bump"
 
     def test_mode_b_at_critical(self):
@@ -257,7 +257,6 @@ class TestGradientCheck:
 
 
 class TestCompositeObjectives:
-    @pytest.mark.parametrize("cell", [(2, 0.0, 0.0), (3, 1.0, 0.5)], ids=str)
     def test_objective_gradients_match_fd(self, cell):
         # chain-rule gradients of both scale-invariant composites
         from tmlab.optimizer import _objective_a, _objective_b

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -89,7 +90,7 @@ class TestRadialProfileValidation:
     def test_json_roundtrip_lossless(self):
         rng = np.random.default_rng(7)
         p = random_profile(rng)
-        q = RadialProfile.from_json(p.to_json())
+        q = RadialProfile.from_json(json.dumps(p.to_dict()))
         assert np.array_equal(p.radii, q.radii)
         assert np.array_equal(p.values, q.values)
 
@@ -312,6 +313,25 @@ class TestGradients:
                                            rel_tol=1e-13), p)
             assert gradient_rel_error(d_grad, fd_g) < 1e-5
             assert gradient_rel_error(d_weight, fd_w) < 1e-5
+
+    @pytest.mark.parametrize("cell", [(3, 1.0, 0.5), (4, 2.0, 1.0), (3, 0.0, -1.0)],
+                             ids=str)
+    @pytest.mark.parametrize("index", [800, 2000])
+    def test_deep_element_gradient_finite(self, cell, index):
+        # at alpha_crit the rows' Phi_N' overflows where e^(c t) underflows
+        # on a deep Moser cone; taken together in log scale they stay finite
+        params = make_params(cell, alpha_ratio=1.0)
+        cone = normalized(index, params).profile
+        (t0, t1), u0 = cone.log_radii, cone.values[0]
+        p = RadialProfile(log_radii=[t0, 0.5 * (t0 + t1), t1],
+                          values=[u0, 0.5 * u0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            analytic = functional_gradient(p, params)
+        assert np.isfinite(analytic).all()
+        fd = finite_difference_gradient(
+            lambda pr: functional_log(pr, params, rel_tol=1e-13).value, p)
+        assert gradient_rel_error(analytic, fd) < 1e-5
 
     def test_gradient_locality(self):
         params = make_params((3, 1.0, 0.5), alpha_ratio=0.5)
