@@ -199,8 +199,7 @@ def relation_scan(params: ProblemParams, alpha_grid, config: OptimizerConfig,
         for alpha, res in zip(grid, a_results):
             point = replace(params, alpha=alpha)
             moved = lemma2_transport(res.profile, alpha, point)
-            transported.append((f"transport-{alpha:.6g}", moved.profile,
-                                functional(moved.profile, at_critical)))
+            transported.append((f"transport-{alpha:.6g}", moved.profile, moved.lhs))
             rows.append((alpha, res))
         # ascending from the best-valued transport dominates every transported
         # value, so seeding with it alone keeps the one-sided bound guaranteed

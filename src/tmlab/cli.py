@@ -22,8 +22,9 @@ from .core import ProblemParams, critical_alpha_beta
 from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      PreconditionError, ValidationError)
 from .optimizer import OptimizerConfig, maximize_A, maximize_B
-from .profiles import (RadialProfile, functional_log, grad_norm_pow, norms,
-                       random_profile, weighted_lp_pow_batch)
+from .profiles import (LiveSegments, RadialProfile, functional_log_batch,
+                       grad_norm_pow, norms, random_profile,
+                       weighted_lp_pow_batch)
 from .report import ScanTable
 
 
@@ -156,11 +157,12 @@ def _load_profile(cfg: dict, params: ProblemParams) -> RadialProfile:
 def cmd_eval(cfg: dict) -> int:
     params = _params_from(cfg)
     profile = _load_profile(cfg, params)
-    rep = norms(profile, params)
-    lv = functional_log(profile, params)
+    live = LiveSegments.of([profile])  # one table for the weight and J
+    g = grad_norm_pow(profile, params)
+    (w,) = weighted_lp_pow_batch(live, params.dim, params.gamma, params)
+    (lv,) = functional_log_batch(live, params)
     _emit_json({
-        "norms": {"grad_pow": rep.grad_pow, "weight_pow": rep.weight_pow,
-                  "full_pow": rep.full_pow},
+        "norms": {"grad_pow": g, "weight_pow": w, "full_pow": g + w},
         "functional": {"value": lv.value if not lv.saturated else None,
                        "log": lv.log, "saturated": lv.saturated},
         "profile_nodes": profile.num_nodes,

@@ -24,12 +24,12 @@ The multistart legs run in lock step.  Each leg is a generator that yields
 its next evaluation request: a mode-A objective, a mode-B objective, or one
 J value of the dilation polish.  At every step _drive groups the pending
 requests of all legs by kind and node count and answers each group with one
-batched call.  The norms are closed forms, and so is J at N = 2, so a step
-costs one quadrature pass per group at N >= 3 and none at N = 2, whatever
-the number of legs.  The batch functions of
-profiles give each profile the same bits as a batch of one, so every leg
-computes exactly what it computes alone; an executor pool runs the legs one
-at a time through _ascend and returns the same result.
+batched call on its stacked node arrays, building no profile object: one
+check, one live-segment table and, at N >= 3, one quadrature pass (the norms
+and J at N = 2 are closed forms), whatever the number of legs.  The batch
+functions of profiles give each profile the same bits as a batch of one, so
+every leg computes exactly what it computes alone; an executor pool runs the
+legs one at a time through _ascend and returns the same result.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ import numpy as np
 from . import moser
 from .core import ProblemParams, critical_alpha_beta, sphere_area
 from .errors import SupercriticalError, ValidationError
-from .profiles import (RadialProfile, at_normalize, dilated_norms,
-                       functional_log_batch, grad_norm_pow,
-                       grad_norm_pow_gradient, norms, segment_weights,
-                       weight_norm_batch)
+from .profiles import (LiveSegments, RadialProfile, at_normalize,
+                       checked_nodes, dilated_norms, functional_log_batch,
+                       grad_norm_pow, grad_norm_pow_nodes, norms,
+                       segment_weights, weight_norm_batch)
 
 _CRIT_SLACK = 1e-12
 # the node grid spans these radii geometrically
@@ -179,31 +179,37 @@ def _objective(values, radii, params, quad_tol, theta, kappa):
 
     g and w are the gradient and weight norm powers of u, both closed forms
     with their node gradients; w(v) = s^N w and grad_v w = s^(N-1) grad w by
-    homogeneity.  One J pass for the whole batch (a closed form at N = 2,
-    quadrature at N >= 3) gives J and its gradient at each v.  values and
-    radii are one profile's nodes, giving (value, gradient), or (k, nodes)
-    arrays of k profiles, giving a list of k such pairs.
+    homogeneity.  values and radii are one profile's nodes, giving (value,
+    gradient), or (k, nodes) arrays of k profiles, giving a list of k such
+    pairs.  One live-segment table of the checked batch gives the weights at
+    u and, scaled, J at each v in one pass; the chain rule takes all rows.
     """
     single = np.ndim(values) == 1
-    values, radii = np.atleast_2d(values), np.atleast_2d(radii)
+    t, u = checked_nodes(np.atleast_2d(radii), np.atleast_2d(values))
     n = params.dim
-    out = [(0.0, np.zeros_like(u)) for u in values]
-    profs = [RadialProfile.from_radii(r, u) for u, r in zip(values, radii)]
-    live = []
-    for i, (prof, (w, d_w)) in enumerate(zip(profs, weight_norm_batch(profs, params))):
-        full = grad_norm_pow(prof, params) + kappa * w
-        if full > 0.0 and w > 0.0:
-            live.append((i, prof, w, d_w, full, full ** (-1.0 / n)))
-    passes = functional_log_batch([prof.scaled(s) for _, prof, *_, s in live],
-                                  params, quad_tol, gradient=True)
-    for (i, prof, w, d_w, full, s), (j, g_j) in zip(live, passes):
-        j, w_v = j.value, w * s ** n
-        # dR/dv, then pulled back through v = s(u) u
-        dr = (g_j * w_v ** -theta
-              - theta * j * w_v ** (-theta - 1.0) * s ** (n - 1) * d_w)
-        grad = s * dr - (float(dr @ values[i]) / n) * (s / full) \
-            * (grad_norm_pow_gradient(prof, params) + kappa * d_w)
-        out[i] = (j * w_v ** -theta, grad)
+    live = LiveSegments.of_nodes(t, u)
+    w, d_w = zip(*weight_norm_batch(live, params))
+    g = grad_norm_pow_nodes(t, u, params).tolist()
+    full = [x + kappa * y for x, y in zip(g, w)]
+    # the rows' scalars in Python floats: numpy's ** rounds some powers otherwise
+    s = [f ** (-1.0 / n) if f > 0.0 and x > 0.0 else 0.0 for f, x in zip(full, w)]
+    passes = functional_log_batch(live.scaled(np.array(s)), params, quad_tol,
+                                  gradient=True)
+    j = [jl.value for jl, _ in passes]
+    w_v = [x * si ** n for x, si in zip(w, s)]
+    a = [wv ** -theta if si else 0.0 for wv, si in zip(w_v, s)]
+    b = [theta * jv * wv ** (-theta - 1.0) * si ** (n - 1) if si else 0.0
+         for wv, jv, si in zip(w_v, j, s)]
+    d_w = np.stack(d_w)
+    # dR/dv, then pulled back through v = s(u) u
+    dr = np.stack([d for _, d in passes]) * np.array(a)[:, None] \
+        - np.array(b)[:, None] * d_w
+    c = [(float(d @ ui) / n) * (si / f) if si else 0.0
+         for d, ui, si, f in zip(dr, u, s, full)]
+    grad = np.array(s)[:, None] * dr - np.array(c)[:, None] \
+        * (grad_norm_pow_nodes(t, u, params, gradient=True) + kappa * d_w)
+    # a row with g + kappa w or w zero has s = a = b = c = 0: its gradient is 0
+    out = [(jv * x, d) for jv, x, d in zip(j, a, grad)]
     return out[0] if single else out
 
 
@@ -219,9 +225,9 @@ def _objective_a(values, radii, params, quad_tol):
 
 
 def _functional_values(values, radii, params, quad_tol):
-    """J of each profile of a (k, nodes) batch, from one J pass."""
-    profiles = [RadialProfile.from_radii(r, u) for u, r in zip(values, radii)]
-    return [j.value for j in functional_log_batch(profiles, params, quad_tol)]
+    """J of each profile of a checked (k, nodes) batch, from one J pass."""
+    live = LiveSegments.of_nodes(*checked_nodes(radii, values))
+    return [j.value for j in functional_log_batch(live, params, quad_tol)]
 
 
 def _drive(legs, params, quad_tol):

@@ -18,7 +18,8 @@ is integrated segment by segment with adaptive Gauss-Kronrod quadrature in
 t, where its integrand is smooth: functional_log_batch lays the live
 segments of all profiles of a batch end to end as the intervals of one
 quadrature call, with the gradient rows in the same pass when asked.  Every
-batch function gives each profile the same bits as a batch of one.
+batch function takes a list of profiles or a LiveSegments table, also built
+from (k, m) node arrays, and gives each profile the same bits as alone.
 """
 
 from __future__ import annotations
@@ -63,22 +64,11 @@ class RadialProfile:
     values: np.ndarray
 
     def __post_init__(self):
-        # array methods rather than the np.all/np.diff wrappers: optimizers
-        # build thousands of profiles
         t = np.array(self.log_radii, dtype=float, ndmin=1)
         values = np.array(self.values, dtype=float, ndmin=1)
         if t.ndim != 1 or values.ndim != 1:
             raise ValidationError("radii and values must be one-dimensional")
-        if t.size != values.size or t.size == 0:
-            raise ValidationError("radii and values must have equal nonzero length")
-        if not (np.isfinite(t).all() and np.isfinite(values).all()):
-            raise ValidationError("radii and values must be finite")
-        if (t[1:] <= t[:-1]).any():
-            raise ValidationError("radii must be strictly increasing")
-        if (values < 0.0).any():
-            raise ValidationError("node values must be nonnegative")
-        if values[-1] != 0.0:
-            raise ValidationError("last node value must be 0 (compact support)")
+        _check_nodes(t, values)
         t.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "log_radii", t)
@@ -87,10 +77,7 @@ class RadialProfile:
     @classmethod
     def from_radii(cls, radii, values) -> "RadialProfile":
         """The profile with nodes at the given positive radii."""
-        radii = np.asarray(radii, dtype=float)
-        if not np.all(radii > 0.0):
-            raise ValidationError("radii must be positive")
-        return cls(log_radii=np.log(radii), values=values)
+        return cls(log_radii=checked_nodes(radii, values)[0], values=values)
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -143,6 +130,32 @@ class RadialProfile:
         return cls.from_dict(json.loads(text))
 
 
+def _check_nodes(t, values):
+    """RadialProfile's checks, of one profile's nodes or of each row of (k, m)
+    arrays; np.count_nonzero is the cheapest test, and thousands are run."""
+    if t.shape != values.shape or t.shape[-1] == 0:
+        raise ValidationError("radii and values must have equal nonzero length")
+    if np.count_nonzero(~np.isfinite(t)) or np.count_nonzero(~np.isfinite(values)):
+        raise ValidationError("radii and values must be finite")
+    if np.count_nonzero(t[..., 1:] <= t[..., :-1]):
+        raise ValidationError("radii must be strictly increasing")
+    if np.count_nonzero(values < 0.0):
+        raise ValidationError("node values must be nonnegative")
+    if np.count_nonzero(values[..., -1]):
+        raise ValidationError("last node value must be 0 (compact support)")
+
+
+def checked_nodes(radii, values):
+    """(t, u) = (log radii, values) of (k, m) node arrays, whose every row
+    RadialProfile.from_radii accepts; it raises ValidationError otherwise."""
+    radii = np.atleast_1d(np.asarray(radii, dtype=float))
+    if not np.all(radii > 0.0):
+        raise ValidationError("radii must be positive")
+    t, u = np.log(radii), np.atleast_1d(np.asarray(values, dtype=float))
+    _check_nodes(t, u)
+    return t, u
+
+
 @dataclass(frozen=True)
 class NormReport:
     """The three norm powers of a profile.
@@ -165,7 +178,6 @@ class LiveSegments(NamedTuple):
     node, owner, (t0, u0) and (t1, u1) are an entry's left node, profile and
     end nodes.  u_first and t_first are each profile's first node."""
 
-    profiles: tuple
     bounds: list
     firsts: list
     node: np.ndarray
@@ -179,25 +191,45 @@ class LiveSegments(NamedTuple):
 
     @classmethod
     def of(cls, profiles) -> "LiveSegments":
-        """The table of one or more profiles."""
+        """The table of a list of profiles; a table is its own."""
+        if isinstance(profiles, LiveSegments):
+            return profiles
         profiles = tuple(profiles)
-        if len(profiles) == 1:
+        if len(profiles) == 1:  # its own arrays, no copy
             (p,) = profiles
-            t, u, firsts = p.log_radii, p.values, [0, p.num_nodes]
-        else:
-            firsts = list(itertools.accumulate((p.num_nodes for p in profiles),
-                                               initial=0))
-            t = np.concatenate([p.log_radii for p in profiles] or [np.zeros(0)])
-            u = np.concatenate([p.values for p in profiles] or [np.zeros(0)])
+            return cls.of_nodes(p.log_radii, p.values, [0, p.num_nodes])
+        return cls.of_nodes(
+            np.concatenate([p.log_radii for p in profiles] or [[]]),
+            np.concatenate([p.values for p in profiles] or [[]]),
+            list(itertools.accumulate((p.num_nodes for p in profiles), initial=0)))
+
+    @classmethod
+    def of_nodes(cls, t, u, firsts=None) -> "LiveSegments":
+        """The table of nodes t = log r and u: the rows of (k, m) arrays (see
+        checked_nodes), or flat arrays with profile b's nodes from firsts[b]."""
+        if firsts is None:
+            (k, m), t, u = u.shape, t.ravel(), u.ravel()
+            firsts = list(range(0, k * m + 1, m))
         live = (u[:-1] > 0.0) | (u[1:] > 0.0)
-        if len(profiles) > 1:  # a profile's last node (u = 0) starts no segment
+        if len(firsts) > 2:  # a profile's last node (u = 0) starts no segment
             live[np.array(firsts[1:-1]) - 1] = False
         node = np.flatnonzero(live)
         bounds = [0] + np.searchsorted(node, firsts[1:]).tolist()
         owner = np.searchsorted(bounds[1:], np.arange(node.size), "right")
         heads = firsts[:-1]
-        return cls(profiles, bounds, firsts, node, owner, t[node], t[node + 1],
+        return cls(bounds, firsts, node, owner, t[node], t[node + 1],
                    u[node], u[node + 1], u[heads], t[heads])
+
+    def scaled(self, s) -> "LiveSegments":
+        """The table of s[b] u for each profile b, s >= 0: an entry whose ends
+        both become 0 leaves it, as from the profiles s[b] u themselves."""
+        u0, u1 = self.u0 * s[self.owner], self.u1 * s[self.owner]
+        out = self._replace(u0=u0, u1=u1, u_first=self.u_first * s)
+        keep = (u0 > 0.0) | (u1 > 0.0)
+        return out if keep.all() else out._replace(
+            bounds=np.concatenate([[0], np.cumsum(keep)])[out.bounds].tolist(),
+            **{f: getattr(out, f)[keep]
+               for f in ("node", "owner", "t0", "t1", "u0", "u1")})
 
 
 @functools.cache
@@ -322,12 +354,12 @@ def _weighted_moments(profiles, p, delta: float, params: ProblemParams,
                + exponents[0 if uniform else heads] * log_head)
     group = np.concatenate([owner[seg], heads])
     log_scale = np.concatenate([log_scale, plateau])
-    top = np.full(len(profiles), -np.inf)
+    top = np.full(len(live.firsts) - 1, -np.inf)
     np.maximum.at(top, group, log_scale)
     # (an empty bincount is of int dtype)
     sums = np.bincount(group, np.concatenate([rest, np.ones(heads.size)])
                        * np.exp(log_scale - top[group]),
-                       minlength=len(profiles)).astype(float)
+                       minlength=top.size).astype(float)
     if not gradient:
         return top, sums
     node, starts = live.node[seg], live.firsts
@@ -413,8 +445,8 @@ def _functional_log_batch(profiles, params, rel_tol, gradient):
     # each profile's logs in a row, plateau first, padded with -inf, and
     # summed left to right by one logaddexp reduction
     bounds, owner = np.array(live.bounds), live.owner
-    logs = np.full((len(live.profiles), 1 + (bounds[1:] - bounds[:-1]).max(initial=0)),
-                   -math.inf)
+    logs = np.full((len(live.firsts) - 1,
+                    1 + (bounds[1:] - bounds[:-1]).max(initial=0)), -math.inf)
     logs[heads, 0] = head_logs
     seg_logs = shift + np.log(vals[0]) + math.log(omega)
     seg_logs[~np.isfinite(seg_logs)] = -math.inf
@@ -442,21 +474,21 @@ def grad_norm_pow(profile: RadialProfile, params: ProblemParams) -> float:
     to |s|^N / r, so each segment contributes |s|^N * log(r_{i+1}/r_i) and the
     plateau and tail contribute nothing.
     """
-    n = params.dim
-    t, u = profile.log_radii, profile.values
-    dt, du = t[1:] - t[:-1], u[1:] - u[:-1]
-    return sphere_area(n) * float(np.add.reduce(np.abs(du) ** n / dt ** (n - 1)))
+    return float(grad_norm_pow_nodes(profile.log_radii, profile.values, params))
 
 
-def grad_norm_pow_gradient(profile: RadialProfile,
-                           params: ProblemParams) -> np.ndarray:
-    """Node gradient of grad_norm_pow: exact closed form, no quadrature."""
+def grad_norm_pow_nodes(t, u, params: ProblemParams, gradient=False):
+    """grad_norm_pow, or with gradient its node gradient, of one profile's
+    nodes t = log r and u or of each row of (k, m) arrays: closed forms."""
     n = params.dim
-    dt = np.diff(profile.log_radii)
-    du = np.diff(profile.values)
+    dt, du = t[..., 1:] - t[..., :-1], u[..., 1:] - u[..., :-1]
+    if not gradient:
+        return sphere_area(n) * np.add.reduce(np.abs(du) ** n / dt ** (n - 1),
+                                              axis=-1)
     edge = np.abs(du) ** (n - 1) * np.sign(du) / dt ** (n - 1)
-    return sphere_area(n) * n * (np.concatenate([[0.0], edge])
-                                 - np.concatenate([edge, [0.0]]))
+    pad = np.zeros(edge.shape[:-1] + (1,))
+    return sphere_area(n) * n * (np.concatenate([pad, edge], axis=-1)
+                                 - np.concatenate([edge, pad], axis=-1))
 
 
 def weighted_lp_pow(profile: RadialProfile, p: float, delta: float,
@@ -530,7 +562,8 @@ def norms_gradient(profile: RadialProfile, params: ProblemParams,
     Both are exact (closed forms); rel_tol is accepted and unused.
     """
     d_weight = weight_norm_batch([profile], params)[0][1]
-    return grad_norm_pow_gradient(profile, params), d_weight
+    return (grad_norm_pow_nodes(profile.log_radii, profile.values, params,
+                                gradient=True), d_weight)
 
 
 def dilate(profile: RadialProfile, lam: float) -> RadialProfile:

@@ -155,6 +155,31 @@ class TestRelationScan:
         text = scan.table().to_csv()
         assert "alpha,g_factor,a_estimate,product,b_estimate" in text
 
+    def test_each_transport_integrated_once(self, monkeypatch):
+        # every J quadrature pass of an N = 3 scan is made inside the ratio
+        # maximizers, the transports or the full-norm maximizer: the
+        # transported profile's J is lemma2_transport's lhs, not a second pass
+        from tmlab import analysis, profiles
+
+        passes, inside = [], []
+        inner = profiles.integrate_segments
+        monkeypatch.setattr(profiles, "integrate_segments",
+                            lambda *a, **k: passes.append(1) or inner(*a, **k))
+        for name in ("_scan_a", "lemma2_transport", "maximize_B"):
+            def counted(*a, fn=getattr(analysis, name), **k):
+                before = len(passes)
+                try:
+                    return fn(*a, **k)
+                finally:
+                    inside.append(len(passes) - before)
+            monkeypatch.setattr(analysis, name, counted)
+        params = make_params((3, 1.0, 0.5))
+        crit = critical_alpha_beta(params)
+        relation_scan(params, [0.4 * crit, 0.6 * crit], OptimizerConfig(
+            node_count=17, moser_starts=(3,), random_starts=0, max_iters=3,
+            dilation_polish=False))
+        assert len(inside) == 4 and len(passes) == sum(inside) > 0
+
     def test_grid_validation(self):
         params = make_params((2, 0.0, 0.0))
         crit = critical_alpha_beta(params)

@@ -55,6 +55,22 @@ class TestEval:
         data = json.loads(out.read_text())
         assert abs(data["norms"]["grad_pow"] - 1.0) < 1e-12
 
+    def test_one_live_segment_table(self, tmp_path, monkeypatch):
+        # the weight and J of the one profile come from one table
+        from tmlab.profiles import LiveSegments
+
+        built = []
+        inner = LiveSegments.of_nodes
+        monkeypatch.setattr(LiveSegments, "of_nodes", classmethod(
+            lambda cls, *a: built.append(1) or inner(*a)))
+        rc, out = invoke(tmp_path, "eval", "--dim", "3", "--alpha-ratio", "0.5",
+                         "--beta", "1.0", "--gamma", "0.5",
+                         "--moser-index", "10")
+        assert rc == 0 and len(built) == 1
+        data = json.loads(out.read_text())
+        assert data["norms"]["full_pow"] == \
+            data["norms"]["grad_pow"] + data["norms"]["weight_pow"]
+
     def test_missing_file_exit_2(self, tmp_path):
         rc = run(["eval", "--dim", "2", "--alpha", "1.0", "--beta", "0",
                   "--gamma", "0", "--profile", str(tmp_path / "nope.json")])

@@ -12,7 +12,8 @@ from tmlab.errors import SupercriticalError, ValidationError
 from tmlab.moser import normalized
 from tmlab.optimizer import (OptimizerConfig, maximize_A, maximize_B,
                              starting_profiles)
-from tmlab.profiles import dilated_norms
+from tmlab.profiles import (dilated_norms, functional_log_batch, norms_gradient,
+                            weight_norm_batch)
 
 from conftest import (MATRIX, assert_rel_close, make_params, random_profile,
                       worst_gradient_error)
@@ -401,6 +402,127 @@ class TestLockStep:
             optimizer._drive(legs, params, cfg.quad_tol)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
+
+
+def _reference(values, radii, params, quad_tol, theta, kappa):
+    """The objective row by row from profile objects and the one-profile
+    entry points: the chain rule of optimizer._objective, one row at a time."""
+    n = params.dim
+    out = []
+    for u, r in zip(values, radii):
+        prof = RadialProfile.from_radii(r, u)
+        ((w, d_w),) = weight_norm_batch([prof], params)
+        full = grad_norm_pow(prof, params) + kappa * w
+        if not (full > 0.0 and w > 0.0):
+            out.append((0.0, np.zeros_like(u)))
+            continue
+        s = full ** (-1.0 / n)
+        ((j, g_j),) = functional_log_batch([prof.scaled(s)], params, quad_tol,
+                                           gradient=True)
+        j, w_v = j.value, w * s ** n
+        dr = (g_j * w_v ** -theta
+              - theta * j * w_v ** (-theta - 1.0) * s ** (n - 1) * d_w)
+        grad = s * dr - (float(dr @ u) / n) * (s / full) \
+            * (norms_gradient(prof, params)[0] + kappa * d_w)
+        out.append((j * w_v ** -theta, grad))
+    return out
+
+
+def _request_batch(k, seed, nodes=12):
+    """(values, radii) of k random profiles on k different grids."""
+    rng = np.random.default_rng(seed)
+    batch = [dilate(random_profile(rng, n_nodes=nodes), math.exp(rng.normal()))
+             for _ in range(k)]
+    return np.stack([p.values for p in batch]), np.stack([p.radii for p in batch])
+
+
+def _one_request(fn, values, radii):
+    """A leg that makes one request and returns its answer."""
+    return (yield fn, values, radii)
+
+
+class TestNodeArrayBatches:
+    """The objectives and polish values of a stacked batch, built on node
+    arrays with no profile object, have the bytes of profile-by-profile
+    evaluation, and refuse exactly the batches RadialProfile refuses."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_objectives_match_the_per_row_reference(self, cell, k):
+        from tmlab import optimizer
+
+        params = make_params(cell, alpha_ratio=0.6)
+        values, radii = _request_batch(k, 101 + k)
+        theta_a = (params.dim - params.beta) / (params.dim - params.gamma)
+        for fn, theta, kappa in ((optimizer._objective_a, theta_a, 0.0),
+                                 (optimizer._objective_b, 0.0, 1.0)):
+            got = fn(values, radii, params, 1e-10)
+            want = _reference(values, radii, params, 1e-10, theta, kappa)
+            assert len(got) == k
+            for (v, g), (v_ref, g_ref) in zip(got, want):
+                assert v == v_ref and g.tobytes() == g_ref.tobytes(), fn.__name__
+        want = [functional_log_batch([RadialProfile.from_radii(r, u)], params,
+                                     1e-10)[0].value for u, r in zip(values, radii)]
+        assert optimizer._functional_values(values, radii, params, 1e-10) == want
+
+    def test_one_profile_and_zero_rows(self):
+        # micro() passes one profile's 1-D nodes; a zero row gives (0, 0)
+        # and leaves the other rows' bytes alone
+        from tmlab import optimizer
+
+        params = make_params((3, 1.0, 0.5), alpha_ratio=0.6)
+        values, radii = _request_batch(3, 7)
+        values[1] = 0.0
+        for fn in (optimizer._objective_a, optimizer._objective_b):
+            got = fn(values, radii, params, 1e-10)
+            assert got[1][0] == 0.0
+            assert got[1][1].tobytes() == np.zeros(12).tobytes()
+            for i in (0, 2):
+                value, grad = fn(values[i], radii[i], params, 1e-10)
+                assert value == got[i][0] and grad.tobytes() == got[i][1].tobytes()
+
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    def test_a_drive_step_builds_no_profile(self, monkeypatch, n_dim):
+        from tmlab import optimizer
+
+        params = make_params((n_dim, 1.0, 0.5), alpha_ratio=0.6)
+        values, radii = _request_batch(4, 11)
+        built = []
+        inner = RadialProfile.__post_init__
+        monkeypatch.setattr(RadialProfile, "__post_init__",
+                            lambda self: built.append(1) or inner(self))
+        for fn in (optimizer._objective_a, optimizer._objective_b,
+                   optimizer._functional_values):
+            legs = [_one_request(fn, u, r) for u, r in zip(values, radii)]
+            assert len(optimizer._drive(legs, params, 1e-10)) == 4
+        assert built == []
+
+    FAULTS = {
+        "radii not increasing": (1, "radii", lambda r: r[::-1].copy()),
+        "radius not positive": (0, "radii", lambda r: np.concatenate([[0.0], r[1:]])),
+        "negative value": (2, "values", lambda u: np.concatenate([u[:1], [-0.5], u[2:]])),
+        "last value nonzero": (1, "values", lambda u: np.concatenate([u[:-1], [0.1]])),
+        "value not finite": (2, "values", lambda u: np.concatenate([[np.nan], u[1:]])),
+        "radius not finite": (0, "radii", lambda r: np.concatenate([r[:-1], [np.inf]])),
+    }
+
+    @pytest.mark.parametrize("fault", list(FAULTS))
+    def test_refuses_what_a_profile_refuses(self, fault):
+        from tmlab import optimizer
+
+        row, name, spoil = self.FAULTS[fault]
+        params = make_params((2, 1.0, 0.5), alpha_ratio=0.6)
+        values, radii = _request_batch(3, 13)
+        for fn in (optimizer._objective_a, optimizer._objective_b,
+                   optimizer._functional_values):
+            fn(values, radii, params, 1e-10)  # the clean batch passes
+        bad = {"values": values.copy(), "radii": radii.copy()}
+        bad[name][row] = spoil(bad[name][row])
+        with pytest.raises(ValidationError):
+            RadialProfile.from_radii(bad["radii"][row], bad["values"][row])
+        for fn in (optimizer._objective_a, optimizer._objective_b,
+                   optimizer._functional_values):
+            with pytest.raises(ValidationError):
+                fn(bad["values"], bad["radii"], params, 1e-10)
 
 
 class TestResultSerialization:

@@ -59,6 +59,7 @@ class TestRadialProfileValidation:
         assert np.array_equal(p.radii, np.exp([0.0, 1.0]))
 
     def test_rejects_bad_shapes(self):
+        assert RadialProfile.from_radii(1.0, 0.0).num_nodes == 1  # scalars: one node
         with pytest.raises(ValidationError):
             RadialProfile.from_radii([], [])
         with pytest.raises(ValidationError):
@@ -520,6 +521,29 @@ class TestBatch:
         assert weighted_lp_pow_batch([v] * 30, [2.0 * j for j in range(1, 31)],
                                      1.0, params) == \
             [weighted_lp_pow(v, 2.0 * j, 1.0, params) for j in range(1, 31)]
+
+    def test_node_array_tables_match_profile_tables(self):
+        # a table built from (k, m) node arrays, and one rescaled row by row,
+        # equal the tables of the profiles themselves: rows with dead
+        # segments, a row scaled to 0 and a row whose small values underflow
+        rng = np.random.default_rng(29)
+        batch = [random_profile(rng, n_nodes=9) for _ in range(4)]
+        t = np.stack([p.log_radii for p in batch])
+        u = np.stack([p.values for p in batch])
+        u[0, 2:5] = 0.0
+        u[3, 0] = 0.0
+        u[2, 1:3], u[2, 3] = 0.1, 1.5  # 1e-323 times 0.1 is 0, times 1.5 not
+        rows = [RadialProfile(log_radii=a, values=b) for a, b in zip(t, u)]
+        s = np.array([0.7, 0.0, 1e-323, 2.0])
+        table = profiles.LiveSegments.of_nodes(t, u)
+        for got, want in ((table, profiles.LiveSegments.of(rows)),
+                          (table.scaled(s), profiles.LiveSegments.of(
+                              [p.scaled(c) for p, c in zip(rows, s)]))):
+            for name, a, b in zip(got._fields, got, want):
+                assert np.array_equal(a, b), name
+        params = make_params((2, 1.0, 0.5))
+        assert weighted_lp_pow_batch(table, 2, 0.5, params) == \
+            weighted_lp_pow_batch(rows, 2, 0.5, params)
 
     def test_empty_batch(self):
         params = make_params((2, 0.0, 0.0))
