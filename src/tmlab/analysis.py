@@ -13,7 +13,6 @@ even moments and once by finite differences.
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, replace
 
 from .core import ProblemParams, critical_alpha_beta
@@ -172,8 +171,8 @@ class RelationScan:
         return t
 
 
-def relation_scan(params: ProblemParams, alpha_grid, config: OptimizerConfig,
-                  jobs: int = 1) -> RelationScan:
+def relation_scan(params: ProblemParams, alpha_grid,
+                  config: OptimizerConfig) -> RelationScan:
     """Estimate both supremum families and assemble the product identity.
 
     Runs the ratio maximizer at every grid alpha (warm-starting each point
@@ -183,62 +182,42 @@ def relation_scan(params: ProblemParams, alpha_grid, config: OptimizerConfig,
     the transported profiles.  That makes the one-sided bound
     b_estimate >= g(alpha) * a_estimate(alpha) hold by construction up to
     quadrature error; the two-sided gap is reported as a quality diagnostic,
-    not asserted.  With jobs > 1 the multistart legs of each maximization
-    run in that many worker processes; the grid is still walked in order with
-    its warm starts, so the result does not depend on jobs.
+    not asserted.  Each maximization runs its multistart legs in lock step in
+    this process.
     """
     crit = critical_alpha_beta(params)
     grid = sorted(float(a) for a in alpha_grid)
     if not grid or not (0.0 < grid[0] and grid[-1] < crit):
         raise DomainError("alpha grid must lie strictly inside (0, critical)")
-    with _leg_pool(jobs) as pool:
-        a_results = _scan_a(params, grid, config, pool)
-        at_critical = replace(params, alpha=crit)
-        transported = []
-        rows = []
-        for alpha, res in zip(grid, a_results):
-            point = replace(params, alpha=alpha)
-            moved = lemma2_transport(res.profile, alpha, point)
-            transported.append((f"transport-{alpha:.6g}", moved.profile, moved.lhs))
-            rows.append((alpha, res))
-        # ascending from the best-valued transport dominates every transported
-        # value, so seeding with it alone keeps the one-sided bound guaranteed
-        best_transport = max(transported, key=lambda t: t[2])
-        b_result = maximize_B(at_critical, config,
-                              extra_starts=[best_transport[:2]], pool=pool)
-    out_rows = []
-    for alpha, res in rows:
+    a_results = _scan_a(params, grid, config)
+    transported = []
+    for alpha, res in zip(grid, a_results):
+        moved = lemma2_transport(res.profile, alpha, replace(params, alpha=alpha))
+        transported.append((f"transport-{alpha:.6g}", moved.profile, moved.lhs))
+    # ascending from the best-valued transport dominates every transported
+    # value, so seeding with it alone keeps the one-sided bound guaranteed
+    best_transport = max(transported, key=lambda t: t[2])
+    b_result = maximize_B(replace(params, alpha=crit), config,
+                          extra_starts=[best_transport[:2]])
+    rows = []
+    for alpha, res in zip(grid, a_results):
         g = g_factor(alpha, params)
-        out_rows.append(RelationRow(alpha=alpha, g_factor=g,
-                                    a_estimate=res.value,
-                                    product=g * res.value,
-                                    b_estimate=b_result.value))
+        rows.append(RelationRow(alpha=alpha, g_factor=g, a_estimate=res.value,
+                                product=g * res.value,
+                                b_estimate=b_result.value))
     # plain floats: numpy scalars would print as np.float64(...) in the header
-    sup_product = float(max(r.product for r in out_rows))
+    sup_product = float(max(r.product for r in rows))
     gap = float(abs(sup_product - b_result.value) / b_result.value)
-    return RelationScan(rows=tuple(out_rows), b_result=b_result,
+    return RelationScan(rows=tuple(rows), b_result=b_result,
                         sup_product=sup_product, gap=gap)
 
 
-def _leg_pool(jobs):
-    """Worker processes for multistart legs, or no pool when jobs <= 1."""
-    if jobs <= 1:
-        return nullcontext()
-    # imported only here: they would add to the start-up time of every command
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    return ProcessPoolExecutor(max_workers=jobs,
-                               mp_context=multiprocessing.get_context("spawn"))
-
-
-def _scan_a(params, grid, config, pool):
+def _scan_a(params, grid, config):
     """Ratio maximizers along the grid, each warm-started from the previous."""
     results = []
     warm = []
     for alpha in grid:
-        res = maximize_A(replace(params, alpha=alpha), config,
-                         extra_starts=warm, pool=pool)
+        res = maximize_A(replace(params, alpha=alpha), config, extra_starts=warm)
         warm = [("warm", res.profile)]
         results.append(res)
     return results

@@ -103,9 +103,10 @@ def _params_from(cfg: dict) -> ProblemParams:
 
 
 def _optimizer_config(cfg: dict) -> OptimizerConfig:
-    data = dict(cfg.get("optimizer", {}))
-    data.setdefault("seed", cfg.get("seed", 0))
-    return OptimizerConfig.from_dict(data)
+    data = cfg.get("optimizer", {})
+    if not isinstance(data, dict):
+        raise ConfigError(f"optimizer must be a JSON object, got {data!r}")
+    return OptimizerConfig.from_dict({"seed": cfg.get("seed", 0), **data})
 
 
 def _echo(cfg: dict) -> str:
@@ -228,10 +229,12 @@ def _alpha_grid(cfg: dict, params: ProblemParams, default_ratios) -> list:
 def cmd_relation(cfg: dict) -> int:
     params = _params_from(cfg)
     grid = _alpha_grid(cfg, params, np.linspace(0.1, 0.95, 16))
+    # jobs is echoed and changes nothing, since every maximization runs its
+    # legs in lock step in one process; a value below 1 is still refused
     jobs = _convert("jobs", cfg["jobs"], int)
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    scan = analysis.relation_scan(params, grid, _optimizer_config(cfg), jobs=jobs)
+    scan = analysis.relation_scan(params, grid, _optimizer_config(cfg))
     if cfg["format"] == "json":
         _emit_json({
             "rows": [row.__dict__ for row in scan.rows],
@@ -325,7 +328,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float)
         p.add_argument("--seed", type=int)
         p.add_argument("--jobs", type=int,
-                       help="worker processes for grid fan-out (default 1)")
+                       help="accepted and echoed, no effect: the multistart "
+                       "legs always run in lock step in one process")
         p.add_argument("--output", help="write here instead of stdout")
         p.add_argument("--format", choices=("csv", "json"))
         if name in ("eval", "orbit"):

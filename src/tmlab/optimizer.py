@@ -28,8 +28,10 @@ batched call on its stacked node arrays, building no profile object: one
 check, one live-segment table and, at N >= 3, one quadrature pass (the norms
 and J at N = 2 are closed forms), whatever the number of legs.  The batch
 functions of profiles give each profile the same bits as a batch of one, so
-every leg computes exactly what it computes alone; an executor pool runs the
-legs one at a time through _ascend and returns the same result.
+every leg computes exactly what it computes alone; every maximization runs
+its legs so, in one process.  _ascend, _lbfgs_ascend and _dilation_polish run
+one leg, one ascent or one polish alone; no tmlab code calls them, but the
+tests use them as references and perfbench/tracing.py looks them up by name.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ _POLISH_SPAN = 2.0
 _POLISH_TOL = 1e-7
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class OptimizerConfig:
     """Grid, step rule, stopping rule, and multistart policy."""
@@ -77,6 +83,20 @@ class OptimizerConfig:
     quad_tol: float = 1e-10
 
     def __post_init__(self):
+        # the types first, as the range checks below compare: a JSON config
+        # can hold any value, and bool is an int subclass but no count
+        kinds = [(name, _is_int, "an integer") for name in (
+            "node_count", "max_iters", "random_starts", "seed", "polish_rounds")]
+        kinds += [
+            ("moser_starts", lambda v: isinstance(v, tuple)
+             and all(map(_is_int, v)), "a list of integers"),
+            ("dilation_polish", lambda v: isinstance(v, bool), "true or false"),
+            ("quad_tol", lambda v: _is_int(v) or isinstance(v, float),
+             "a number")]
+        for name, ok, kind in kinds:
+            if not ok(getattr(self, name)):
+                raise ValidationError(
+                    f"{name} must be {kind}, got {getattr(self, name)!r}")
         if self.node_count < 8:
             raise ValidationError("need at least 8 grid nodes")
         for name in ("max_iters", "polish_rounds", "quad_tol"):
@@ -93,7 +113,7 @@ class OptimizerConfig:
         unknown = set(data) - allowed
         if unknown:
             raise ValidationError(f"unknown optimizer config keys: {sorted(unknown)}")
-        if "moser_starts" in data:
+        if isinstance(data.get("moser_starts"), list):  # JSON has no tuple
             data = dict(data, moser_starts=tuple(data["moser_starts"]))
         return cls(**data)
 
@@ -485,32 +505,22 @@ def _ascend(start_id, profile, params, config, mode):
                   params, config.quad_tol)[0]
 
 
-def _best_over_starts(params, config, mode, extra_starts, pool):
+def _best_over_starts(params, config, mode, extra_starts):
     starts = list(extra_starts) + starting_profiles(params, config)
-    # legs are independent, so running them in lock step or in a pool only
-    # changes where and when they run; results come back in roster order and
-    # max keeps the first of equal values
-    if pool:
-        ids, profs = zip(*starts)
-        k = len(starts)
-        results = list(pool.map(_ascend, ids, profs, [params] * k,
-                                 [config] * k, [mode] * k))
-    else:
-        results = _drive([_leg(sid, prof, params, config, mode)
-                          for sid, prof in starts], params, config.quad_tol)
-    return max(results, key=lambda r: r.value)
+    # results come back in roster order, and max keeps the first of equal values
+    return max(_drive([_leg(sid, prof, params, config, mode)
+                       for sid, prof in starts], params, config.quad_tol),
+               key=lambda r: r.value)
 
 
 def maximize_B(params: ProblemParams, config: OptimizerConfig | None = None,
-               extra_starts=(), pool=None) -> MaximizationResult:
+               extra_starts=()) -> MaximizationResult:
     """Maximize the functional over the unit ball of the full weighted norm.
 
     The maximum sits on the unit sphere (scaling any interior point up
     strictly increases the functional), which the composite objective encodes
     by renormalizing.  Requires alpha <= critical; beyond that the supremum is
     infinite and the request is refused with a pointer to the witness.
-    An executor given as pool runs the multistart legs; the result is the
-    same with or without it.
     """
     config = config or OptimizerConfig()
     crit = critical_alpha_beta(params)
@@ -519,15 +529,15 @@ def maximize_B(params: ProblemParams, config: OptimizerConfig | None = None,
             f"alpha={params.alpha} exceeds the critical coefficient {crit}: the "
             "supremum is infinite; see moser.plateau_lower_bound for the "
             "diverging lower bound along the concentrating family")
-    return _best_over_starts(params, config, "B", extra_starts, pool)
+    return _best_over_starts(params, config, "B", extra_starts)
 
 
 def maximize_A(params: ProblemParams, config: OptimizerConfig | None = None,
-               extra_starts=(), pool=None) -> MaximizationResult:
+               extra_starts=()) -> MaximizationResult:
     """Maximize the scale-invariant ratio form (gradient ball, weight ratio).
 
     Requires alpha strictly below critical: the ratio supremum is infinite at
-    and above the critical coefficient.  pool is as in maximize_B.
+    and above the critical coefficient.
     """
     config = config or OptimizerConfig()
     crit = critical_alpha_beta(params)
@@ -536,4 +546,4 @@ def maximize_A(params: ProblemParams, config: OptimizerConfig | None = None,
             f"alpha={params.alpha} is not strictly below the critical "
             f"coefficient {crit}: the ratio supremum is infinite there; see "
             "moser.plateau_lower_bound for the diverging lower bound")
-    return _best_over_starts(params, config, "A", extra_starts, pool)
+    return _best_over_starts(params, config, "A", extra_starts)

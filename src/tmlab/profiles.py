@@ -77,7 +77,7 @@ class RadialProfile:
     @classmethod
     def from_radii(cls, radii, values) -> "RadialProfile":
         """The profile with nodes at the given positive radii."""
-        return cls(log_radii=checked_nodes(radii, values)[0], values=values)
+        return cls(log_radii=_log_radii(radii), values=values)
 
     @cached_property
     def radii(self) -> np.ndarray:
@@ -145,13 +145,18 @@ def _check_nodes(t, values):
         raise ValidationError("last node value must be 0 (compact support)")
 
 
-def checked_nodes(radii, values):
-    """(t, u) = (log radii, values) of (k, m) node arrays, whose every row
-    RadialProfile.from_radii accepts; it raises ValidationError otherwise."""
+def _log_radii(radii):
+    """log of an array of radii, every one of which must be positive."""
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
     if not np.all(radii > 0.0):
         raise ValidationError("radii must be positive")
-    t, u = np.log(radii), np.atleast_1d(np.asarray(values, dtype=float))
+    return np.log(radii)
+
+
+def checked_nodes(radii, values):
+    """(t, u) = (log radii, values) of (k, m) node arrays, whose every row
+    RadialProfile.from_radii accepts; it raises ValidationError otherwise."""
+    t, u = _log_radii(radii), np.atleast_1d(np.asarray(values, dtype=float))
     _check_nodes(t, u)
     return t, u
 

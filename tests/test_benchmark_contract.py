@@ -42,6 +42,8 @@ def test_every_target_resolves(tracing):
         module = sys.modules[f"tmlab.{modname}"]
         for fn in fns:
             assert callable(getattr(module, fn, None)), f"tmlab.{modname}.{fn}"
+    # install() also wraps this one, which TARGETS does not name
+    assert callable(getattr(sys.modules["tmlab.optimizer"], "_ascend", None))
 
 
 def test_install_traces_and_uninstall_restores(tracing, tmp_path):

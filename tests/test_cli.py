@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import re
@@ -334,7 +335,13 @@ class TestConfigHandling:
                     "1.9", "--gamma", "0", "--moser-index", index]) == 3
         assert f"error: index n={index} is too large" in capsys.readouterr().err
 
-    def test_jobs_flag_does_not_change_output(self, tmp_path):
+    def test_jobs_flag_does_not_change_output(self, tmp_path, monkeypatch):
+        # no jobs value may start a worker pool: every maximization runs its
+        # legs in lock step in this process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker-process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"optimizer": LIGHT_OPT}))
         base = ["relation", "--config", str(cfgfile), "--dim", "2",
@@ -375,6 +382,27 @@ class TestWrongTypedConfig:
             assert run([command, "--config", str(cfgfile)]) == 2, bad
             err = capsys.readouterr().err
             assert err.startswith(f"error: {key} must be "), err
+
+
+    # the optimizer object: one that is no JSON object exits 2; a field of
+    # the wrong type exits 3, with a message naming the field
+    @pytest.mark.parametrize("optimizer, code, key", [
+        ([1, 2], 2, "optimizer"), ("x", 2, "optimizer"),
+        ({"moser_starts": 5}, 3, "moser_starts"),
+        ({"moser_starts": [3, 2.5]}, 3, "moser_starts"),
+        ({"node_count": 8.5}, 3, "node_count"),
+        ({"max_iters": 2.5}, 3, "max_iters"),
+        ({"dilation_polish": "no"}, 3, "dilation_polish"),
+        ({"random_starts": True}, 3, "random_starts"),
+        ({"quad_tol": "1e-10"}, 3, "quad_tol"),
+    ])
+    def test_optimizer_object(self, optimizer, code, key, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, "mode": "A", "optimizer": optimizer}))
+        assert run(["optimize", "--config", str(cfgfile)]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be "), err
 
 
 class TestRunRepeatedInOneProcess:

@@ -73,6 +73,16 @@ class TestRadialProfileValidation:
         with pytest.raises(ValidationError):
             RadialProfile.from_radii([-1.0, 1.0], [1.0, 0.0])
 
+    def test_from_radii_checks_once(self, monkeypatch):
+        # the positivity check and the log are shared with checked_nodes; the
+        # node checks run once, in __post_init__
+        calls = []
+        check = profiles._check_nodes
+        monkeypatch.setattr(profiles, "_check_nodes",
+                            lambda t, u: calls.append(t.shape) or check(t, u))
+        RadialProfile.from_radii([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
+        assert calls == [(3,)]
+
     def test_rejects_negative_values_and_open_tail(self):
         with pytest.raises(ValidationError):
             RadialProfile.from_radii([1.0, 2.0], [-0.5, 0.0])
