@@ -21,7 +21,7 @@ from . import __version__, analysis, moser, transform
 from .core import ProblemParams, critical_alpha_beta
 from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      PreconditionError, ValidationError)
-from .optimizer import OptimizerConfig, maximize_A, maximize_B
+from .optimizer import OptimizerConfig, _is_int, maximize_A, maximize_B
 from .profiles import (LiveSegments, RadialProfile, functional_log_batch,
                        grad_norm_pow, norms, random_profile,
                        weighted_lp_pow_batch)
@@ -57,8 +57,12 @@ _KIND_NAMES = {int: "an integer", float: "a number"}
 
 
 def _convert(key: str, val, kind):
-    """kind(val) for the config value of key; a refusal names the key."""
+    """kind(val) for the config value of key; a refusal names the key.  An
+    integer key takes an int and nothing else: int() would cut 3.9 to 3 and
+    read true as 1."""
     try:
+        if kind is int and not _is_int(val):
+            raise TypeError
         return kind(val)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(

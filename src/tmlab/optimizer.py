@@ -71,7 +71,12 @@ def _is_int(value) -> bool:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Grid, step rule, stopping rule, and multistart policy."""
+    """Grid, step rule, stopping rule, and multistart policy.
+
+    quad_tol is accepted, checked and passed on, and changes nothing: J is
+    a closed form at N = 2 and one fixed quadrature pass at N >= 3, and the
+    norms are closed forms, so no computation takes a tolerance.
+    """
 
     node_count: int = 129
     max_iters: int = 200

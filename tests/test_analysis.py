@@ -159,11 +159,11 @@ class TestRelationScan:
         # every J quadrature pass of an N = 3 scan is made inside the ratio
         # maximizers, the transports or the full-norm maximizer: the
         # transported profile's J is lemma2_transport's lhs, not a second pass
-        from tmlab import analysis, profiles
+        from tmlab import analysis, quadrature
 
         passes, inside = [], []
-        inner = profiles.integrate_segments
-        monkeypatch.setattr(profiles, "integrate_segments",
+        inner = quadrature.segment_functional
+        monkeypatch.setattr(quadrature, "segment_functional",
                             lambda *a, **k: passes.append(1) or inner(*a, **k))
         for name in ("_scan_a", "lemma2_transport", "maximize_B"):
             def counted(*a, fn=getattr(analysis, name), **k):

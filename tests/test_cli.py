@@ -384,6 +384,23 @@ class TestWrongTypedConfig:
             assert err.startswith(f"error: {key} must be "), err
 
 
+    # an integer key takes an int only: int() would cut 3.9 to 3 (moser ran
+    # n = 1..3 for n_max 3.9) and read true as 1
+    @pytest.mark.parametrize("value", [3.9, 3.0, True])
+    @pytest.mark.parametrize("command, key", [
+        ("moser", "n_min"), ("moser", "n_max"), ("relation", "alpha_count"),
+        ("asymptotic", "alpha_count"), ("transform-check", "count"),
+        ("eval", "moser_index"), ("orbit", "moser_index"), ("relation", "jobs"),
+    ])
+    def test_integer_key_refuses_float_and_bool(self, command, key, value,
+                                                tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, **self.EXTRA.get(command, {}), key: value}))
+        assert run([command, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be an integer, got "), err
+
     # the optimizer object: one that is no JSON object exits 2; a field of
     # the wrong type exits 3, with a message naming the field
     @pytest.mark.parametrize("optimizer, code, key", [

@@ -249,3 +249,26 @@ class TestDeepElementsN2:
                 cone = mp_segment_functional(t0, t1, u0, u1, params.alpha, c)[0]
                 want = mp.log(2 * mp.pi * (head + cone))
             assert abs(got - float(want)) <= max(1e-12, 8 * n * sys.float_info.epsilon), n
+
+
+class TestDeepElementsN3:
+    """At N >= 3 J takes one fixed pass, whose long segments keep a window
+    at each end: deep elements evaluate right.
+
+    At alpha_crit the cone adds N - 1 plateaus, so log J - log(plateau
+    bound) tends to log N, and here it lies within 10/n of it.  (At n = 10^8
+    and beyond, the rounding of the plateau exponent x - n, about n eps,
+    takes over: that cancellation is still open.)
+    """
+
+    @pytest.mark.parametrize("cell", [c for c in MATRIX if c[0] >= 3], ids=str)
+    def test_log_j_tends_to_plateau_bound_plus_log_n(self, cell):
+        params = make_params(cell, alpha_ratio=1.0)
+        for k in range(1, 8):
+            n = 10 ** k
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                log_j = functional_log(normalized(n, params).profile, params).log
+            bound = plateau_lower_bound(n, params).log
+            assert log_j >= bound, n
+            assert abs(log_j - bound - math.log(params.dim)) <= 10.0 / n, n

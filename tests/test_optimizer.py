@@ -293,13 +293,15 @@ class TestCompositeObjectives:
         assert_rel_close(value, base, 1e-8)
 
     def test_quadrature_passes_per_call(self, monkeypatch):
-        # one pass of J rows per mode-A or mode-B call (the weight norms are
-        # closed forms), and in the polish one pass per evaluated dilate
-        from tmlab import optimizer, profiles
+        # one pass of the fixed rule for the J rows per mode-A or mode-B call
+        # (the weight norms are closed forms), and in the polish one pass per
+        # evaluated dilate
+        from tmlab import optimizer, quadrature
 
         passes, polish_steps = [], []
-        inner, inner_values = profiles.integrate_segments, optimizer._functional_values
-        monkeypatch.setattr(profiles, "integrate_segments",
+        inner = quadrature.segment_functional
+        inner_values = optimizer._functional_values
+        monkeypatch.setattr(quadrature, "segment_functional",
                             lambda *a, **k: passes.append(1) or inner(*a, **k))
         monkeypatch.setattr(optimizer, "_functional_values", lambda *a, **k:
                             polish_steps.append(1) or inner_values(*a, **k))
@@ -366,11 +368,11 @@ class TestLockStep:
     def test_passes_per_step_whatever_k(self, monkeypatch, k):
         # one step answers k requests of one kind with 1 pass in mode A, in
         # mode B and for polish values
-        from tmlab import optimizer, profiles
+        from tmlab import optimizer, quadrature
 
         passes = []
-        inner = profiles.integrate_segments
-        monkeypatch.setattr(profiles, "integrate_segments",
+        inner = quadrature.segment_functional
+        monkeypatch.setattr(quadrature, "segment_functional",
                             lambda *a, **kw: passes.append(1) or inner(*a, **kw))
         params = make_params((3, 1.0, 0.5), alpha_ratio=0.7)
         rng = np.random.default_rng(89)

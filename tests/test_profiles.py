@@ -4,13 +4,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from tmlab import (ProblemParams, RadialProfile, at_normalize, dilate,
                    functional, functional_gradient, functional_log,
                    grad_norm_pow, norms, norms_gradient, sphere_area,
                    weighted_lp_pow)
-from tmlab import profiles
+from tmlab import profiles, quadrature
 from tmlab.optimizer import OptimizerConfig, starting_profiles
 from tmlab.moser import normalized
 from tmlab.profiles import (dilated_norms, functional_log_batch,
@@ -31,18 +33,19 @@ def _singles(p, params):
 
 
 def _counted(monkeypatch, profile, params, gradient=True):
-    """(integrand rounds, results) of one functional_log_batch call on one
-    profile: J and its gradient from one pass, or J alone."""
-    rounds = []
-    inner = profiles.integrate_segments
+    """(passes of the fixed rule, results) of one functional_log_batch call
+    on one profile: J and its gradient from one pass, or J alone."""
+    passes = []
+    inner = quadrature.segment_functional
 
-    def counting(f, *args, **kwargs):
-        return inner(lambda t, seg: rounds.append(1) or f(t, seg), *args, **kwargs)
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return inner(*args, **kwargs)
 
     with monkeypatch.context() as m:
-        m.setattr(profiles, "integrate_segments", counting)
+        m.setattr(quadrature, "segment_functional", counting)
         results = functional_log_batch([profile], params, gradient=gradient)[0]
-    return len(rounds), results
+    return len(passes), results
 
 
 def _as_array(result):
@@ -177,25 +180,23 @@ class TestWeightedLpPow:
             ref = oracle_weighted_lp(p, pw, params.beta, params)
             assert_rel_close(got, ref, 1e-9)
 
-    def test_cap_hit_warns_once(self):
-        # no tolerance below round-off is reachable: every live segment runs
-        # into the panel cap, and integrate_segments alone reports it (the
-        # weight norms are closed forms, and J is integrated at N >= 3 only)
+    def test_rel_tol_changes_nothing(self):
+        # J at N >= 3 comes from one fixed pass, without a tolerance or a cap:
+        # any rel_tol gives the same bits, and nothing warns
         params = make_params((3, 1.0, 0.5))
         p = RadialProfile.from_radii([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
         q = RadialProfile.from_radii([0.5, 3.0], [2.0, 0.0])
-        for call, capped in (
-                (lambda: functional_log(p, params, rel_tol=1e-30), 2),
-                (lambda: functional_log_batch([p], params, rel_tol=1e-30,
-                                              gradient=True), 2),
-                # a batch of several capped profiles still warns once
-                (lambda: functional_log_batch([p, ZERO, q, p], params,
-                                              rel_tol=1e-30), 5)):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                call()
-            assert [w.category for w in caught] == [RuntimeWarning]
-            assert f"panel cap on {capped} interval(s)" in str(caught[0].message)
+        batch = [p, ZERO, q, p]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            js = functional_log_batch(batch, params)
+            fused = functional_log_batch(batch, params, gradient=True)
+            for tol in (1e-30, 1e-3):
+                assert [j.log for j in functional_log_batch(
+                    batch, params, rel_tol=tol)] == [j.log for j in js]
+                for (j, dj), (k, dk) in zip(functional_log_batch(
+                        batch, params, rel_tol=tol, gradient=True), fused):
+                    assert j.log == k.log and np.array_equal(dj, dk)
 
     def test_divergent_weight_rejected(self):
         params = make_params((2, 0.0, 0.0))
@@ -457,21 +458,23 @@ class TestCknEmbeddingSanity:
 
 
 class TestFusedPass:
-    # J is integrated at N >= 3 only (at N = 2 it is a closed form)
+    # J is integrated at N >= 3 only (at N = 2 it is a closed form): one pass
+    # of the fixed rule gives J and both gradient rows, and its J is J alone
     @pytest.mark.parametrize("cell", [(3, 1.0, 0.5), (3, 0.0, -1.0)], ids=str)
-    def test_first_round_profiles_bit_identical(self, cell, monkeypatch):
-        # the concentrating starts on a fine grid at a small alpha need one
-        # round (the bump's tail segment refines at N = 3)
+    def test_start_profiles_bit_identical(self, cell, monkeypatch):
+        # the concentrating starts on a fine grid at a small alpha
         params = make_params(cell, alpha_ratio=0.1)
         config = OptimizerConfig(node_count=513, random_starts=0)
         for sid, p in starting_profiles(params, config)[:len(config.moser_starts)]:
-            rounds, fused = _counted(monkeypatch, p, params)
-            assert rounds == 1, sid
+            passes, fused = _counted(monkeypatch, p, params)
+            assert passes == 1, sid
             for got, alone in zip(fused, _singles(p, params)):
                 assert np.array_equal(_as_array(got), _as_array(alone)), sid
 
     @pytest.mark.parametrize("case", ["peak", "N3_moser"])
-    def test_refining_profile_within_rel_tol(self, case, monkeypatch):
+    def test_refining_profile_bit_identical(self, case, monkeypatch):
+        # profiles the adaptive rule refined further for the gradient rows
+        # than for J alone: the fixed rule lays out both the same
         if case == "peak":
             params = make_params((3, 1.0, 0.5), alpha_ratio=1.0)
             p = RadialProfile(log_radii=[-3.0, -1.0, 0.0, 1.0, 3.0],
@@ -480,12 +483,10 @@ class TestFusedPass:
             params = make_params((3, 1.0, 0.5), alpha_ratio=0.9)
             p = dict(starting_profiles(params, OptimizerConfig(node_count=65)))[
                 "moser-5"]
-        rounds, fused = _counted(monkeypatch, p, params)
-        # the fused pass refines J beyond what it needs alone
-        assert _counted(monkeypatch, p, params, gradient=False)[0] < rounds
+        passes, fused = _counted(monkeypatch, p, params)
+        assert passes == _counted(monkeypatch, p, params, gradient=False)[0] == 1
         for got, alone in zip(fused, _singles(p, params)):
-            got, alone = _as_array(got), _as_array(alone)
-            assert np.abs(got - alone).max() <= 1e-10 * np.abs(alone).max()
+            assert np.array_equal(_as_array(got), _as_array(alone))
 
     def test_zero_profile(self):
         params = make_params((3, 1.0, 0.5))
@@ -505,13 +506,9 @@ def _mixed_batch(rng, params):
 class TestBatch:
     """A profile's results in a batch equal its results alone, bit for bit."""
 
-    def test_weight_norms_and_functional(self, cell, monkeypatch):
+    def test_weight_norms_and_functional(self, cell):
         params = make_params(cell, alpha_ratio=0.9)
         batch = _mixed_batch(np.random.default_rng(17), params)
-        # some profile refines a segment past the first round on its own
-        # (J is a closed form at N = 2)
-        assert params.dim == 2 or max(
-            _counted(monkeypatch, p, params, gradient=False)[0] for p in batch) > 1
         n, b, g = params.dim, params.beta, params.gamma
         for p in (1.0, 2.0, float(n), 7):
             for delta in (0.0, g, b):
@@ -519,6 +516,37 @@ class TestBatch:
                     [weighted_lp_pow(u, p, delta, params) for u in batch]
         assert [j.log for j in functional_log_batch(batch, params)] == \
             [functional_log(u, params).log for u in batch]
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(cell=st.sampled_from([c for c in MATRIX if c[0] >= 3]),
+           ratio=st.sampled_from([0.3, 0.9, 1.0, 1.3]),
+           seeds=st.lists(st.integers(0, 2 ** 32 - 1), max_size=5),
+           zeros=st.lists(st.integers(0, 6), max_size=3),
+           index=st.sampled_from([None, 2, 40, 10 ** 6]))
+    def test_functional_alone_and_in_any_batch(self, cell, ratio, seeds, zeros,
+                                               index):
+        # at N >= 3 J comes from one fixed pass: a profile's J, and its
+        # gradient, are the same bits alone, in any batch (zero profiles and
+        # the empty batch too), and with or without the gradient rows
+        params = make_params(cell, alpha_ratio=ratio)
+        batch = [random_profile(np.random.default_rng(seed), n_nodes=3 + seed % 9)
+                 for seed in seeds]
+        if index is not None:
+            batch.append(normalized(index, params).profile)
+        for z in zeros:
+            batch.insert(min(z, len(batch)), ZERO)
+        with warnings.catch_warnings():
+            # a deep element's gradient saturates above critical, and says so
+            warnings.simplefilter("ignore", RuntimeWarning)
+            js = functional_log_batch(batch, params)
+            fused = functional_log_batch(batch, params, gradient=True)
+            assert len(js) == len(fused) == len(batch)
+            for p, j, (jf, grad) in zip(batch, js, fused):
+                alone = functional_log_batch([p], params)[0]
+                ja, grad_alone = functional_log_batch([p], params,
+                                                      gradient=True)[0]
+                assert j.log == alone.log == jf.log == ja.log
+                assert np.array_equal(grad, grad_alone)
 
     def test_one_exponent_per_profile(self):
         # each profile's rows use its own scalar exponent
