@@ -59,9 +59,9 @@ _KIND_NAMES = {int: "an integer", float: "a number"}
 def _convert(key: str, val, kind):
     """kind(val) for the config value of key; a refusal names the key.  An
     integer key takes an int and nothing else: int() would cut 3.9 to 3 and
-    read true as 1."""
+    read true as 1.  No key takes a bool: float() would read true as 1.0."""
     try:
-        if kind is int and not _is_int(val):
+        if isinstance(val, bool) or kind is int and not _is_int(val):
             raise TypeError
         return kind(val)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -81,7 +81,7 @@ def _resolve(args: argparse.Namespace) -> dict:
     cfg.setdefault("jobs", 1)
     if cfg["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    if not isinstance(cfg["seed"], int) or cfg["seed"] < 0:
+    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
         raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
     return cfg
 

@@ -184,6 +184,11 @@ def starting_profiles(params: ProblemParams, config: OptimizerConfig):
     for n in config.moser_starts:
         values = moser.normalized(n, params).profile.value_at(radii)
         values[-1] = 0.0
+        if not values.any():  # a zero start has no normalization
+            raise ValidationError(
+                f"moser start {n} samples to zero on the grid, radii "
+                f"{radii[0]:g} to {radii[-1]:g}: its element is too "
+                "concentrated for the grid to resolve")
         starts.append((f"moser-{n}", RadialProfile.from_radii(radii, values)))
     mid = 0.5 * (t[0] + t[-1])
     width = 0.25 * (t[-1] - t[0])

@@ -28,6 +28,7 @@ import functools
 import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -238,41 +239,34 @@ class LiveSegments(NamedTuple):
 
 
 @functools.cache
-def _binomials(k_max: int) -> np.ndarray:
-    """C(k+m, m), rounded once, for m < _PIECE_TERMS (rows) and k <= k_max."""
-    return np.array([[math.comb(k + m, m) for k in range(k_max + 1)]
-                     for m in range(_PIECE_TERMS)], dtype=float)[:, :, None]
-
-
-@functools.cache
-def _inverse_rising(p: int) -> np.ndarray:
-    """1 / (p+2)_m, rounded once, for m < _PIECE_TERMS."""
-    return np.array([1 / math.prod(range(p + 2, p + 2 + m))
-                     for m in range(_PIECE_TERMS)])
+def _series_tables(size: int):
+    """C(k+m, m) for m < _PIECE_TERMS (rows) and k < size, and 1 / (p+2)_m
+    for p < size (rows) and m < _PIECE_TERMS, each rounded once."""
+    return (np.array([[math.comb(k + m, m) for k in range(size)]
+                      for m in range(_PIECE_TERMS)], dtype=float),
+            np.array([[1 / d for d in itertools.accumulate(
+                range(p + 2, p + 1 + _PIECE_TERMS), operator.mul, initial=1)]
+                for p in range(size)]))
 
 
 def _bernstein_moments(z, p):
     """E[k] = e^-z 1F1(k+1; p+2; z) = (p+1) int_0^1 C(p,k) x^k (1-x)^(p-k)
     e^(-z(1-x)) dx, k = 0..max(p), 0 past a row's p.  e^z E_k = sum_m C(k+m, m)
     z^m / (p+2)_m has positive terms of ratio at most z/(m+1): for z <= _PIECE_Z
-    the first _PIECE_TERMS reach rounding, summed in the order of m."""
+    the first _PIECE_TERMS reach rounding.  One einsum, m the rows of both
+    operands, adds them in the order of m, so E_k has the same bits in any
+    batch (test_contraction_order); a BLAS product, or m read from a (k, m)
+    table, takes partial sums.  Tables of power-of-two sizes: few are built."""
     ragged = np.ndim(p) > 0
-    exponents, row = np.unique(p, return_inverse=True) if ragged else ([p], None)
-    k_max = int(max(exponents, default=1))
+    k_max = int(p.max(initial=1) if ragged else p)
+    binomials, inverse_rising = _series_tables(1 << k_max.bit_length())
     w = np.ones((_PIECE_TERMS, z.size))
     w[1] = z
     for h in (1, 2, 4, 8, 16):  # z^(h+i) = z^h z^i
         end = min(2 * h + 1, _PIECE_TERMS)
         np.multiply(w[1:end - h], w[h], out=w[h + 1:end])
-    w *= (np.reshape([_inverse_rising(int(e)) for e in exponents],
-                     (-1, _PIECE_TERMS)).T[:, row] if ragged
-          else _inverse_rising(p)[:, None])
-    b = _binomials(k_max)
-    step = max(1, 2 ** 21 // b.size)  # rows per 16 MB product
-    sums = (np.add.reduce(b * w[:, None], axis=0) if z.size <= step else
-            np.concatenate([np.add.reduce(b * w[:, None, i:i + step], axis=0)
-                            for i in range(0, z.size, step)], axis=1))
-    moments = np.exp(-z) * sums
+    w *= inverse_rising[p].T if ragged else inverse_rising[p][:, None]
+    moments = np.exp(-z) * np.einsum("mk,mn->kn", binomials[:, :k_max + 1], w)
     if ragged:  # the series of a k past p is no moment of degree p
         moments *= np.arange(k_max + 1.0)[:, None] <= p
     return moments
@@ -287,7 +281,9 @@ def _segment_moments(t0, t1, u0, u1, p, c, gradient=False):
     _bernstein_moments).  All of it but e^-58 lies within (p + 10 sqrt(p) +
     50)/c of t1; that part is cut into equal pieces of z <= _PIECE_Z, and
     piece j, of segment seg[j], integrates to e^log_scale[j] rest[j].  With
-    gradient (one p), also each piece's derivatives in its u0 and its u1."""
+    gradient (one p), also each piece's derivatives in its u0 and its u1.
+    Both sums run in order: over m in _bernstein_moments, then over k here by
+    add.reduce, as an einsum over k does not keep that order for every shape."""
     dt = t1 - t0
     z = c * dt
     if z.size == 0 or z.max() <= _PIECE_Z:  # the layout below, short-cut
@@ -305,23 +301,27 @@ def _segment_moments(t0, t1, u0, u1, p, c, gradient=False):
         width, right = share * dt, t1 - y1 * dt
         p = p[seg] if np.ndim(p) else p
     moments = _bernstein_moments(c * width, p)
-    # rest = sum_k lo^(p-k) hi^k E_k in the order of k, (lo, hi) = (a, b)/top
+    # rest = sum_k lo^(p-k) hi^k E_k, (lo, hi) = (a, b)/top: one is 1, so the
+    # term is r^k E_k where a >= b, else r^(p-k) E_k, r^j = r^(j-1) r
     top = np.maximum(a, b)
     k = np.arange(moments.shape[0])[:, None]
-    powers = np.ones((k.size, 2, seg.size))
-    np.divide([a, b], top, out=powers[1])
-    for j in range(2, k.size):
-        np.multiply(powers[j - 1], powers[1], out=powers[j])
-    lo = (powers[np.maximum(p - k, 0), 0, np.arange(seg.size)] if np.ndim(p)
-          else powers[::-1, 0])
-    rest = np.add.reduce(lo * powers[:, 1] * moments, axis=0)
+    powers = np.ones((k.size, seg.size))
+    powers[1:] = np.minimum(a, b) / top
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    falling = a >= b
+    if np.ndim(p):  # no gradient: r^(p-k) where rising, r^0 past p (E_k = 0)
+        rising = np.flatnonzero(~falling)
+        powers[:, rising] = powers[np.maximum(p[rising] - k, 0), rising]
+    terms = powers if np.ndim(p) else np.where(falling, powers, powers[::-1])
+    rest = np.add.reduce(terms * moments, axis=0)
     log_top = np.log(top)
     log_scale = c * right + np.log(width / (p + 1.0)) + p * log_top
     if not gradient:
         return seg, log_scale, rest
     # d/da of e^log_scale rest is e^log_scale/top times d rest/d lo = sum_(k<p)
     # (p-k) lo^(p-1-k) hi^k E_k; for b, (k+1) E_(k+1) in place of (p-k) E_k
-    below = powers[p - 1::-1, 0] * powers[:-1, 1] * np.exp(log_scale - log_top)
+    below = (np.where(falling, powers[:-1], powers[-2::-1])
+             * np.exp(log_scale - log_top))
     d_a = np.add.reduce((p - k[:-1]) * below * moments[:-1], axis=0)
     d_b = np.add.reduce((k[:-1] + 1.0) * below * moments[1:], axis=0)
     return (seg, log_scale, rest, d_a * y0 + d_b * y1,

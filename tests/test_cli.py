@@ -401,6 +401,48 @@ class TestWrongTypedConfig:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be an integer, got "), err
 
+    # no key takes a bool: float() read "beta": true as beta = 1
+    @pytest.mark.parametrize("command, key, value", [
+        ("eval", "beta", True), ("eval", "gamma", False), ("orbit", "beta", True),
+        ("optimize", "alpha", True), ("moser", "alpha_ratio", True),
+        ("asymptotic", "alpha_ratios", [0.5, True]),
+    ])
+    def test_float_key_refuses_bool(self, command, key, value, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, **self.EXTRA.get(command, {}), key: value}))
+        assert run([command, "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be a number, got "), err
+
+    # a bool seed ran eval, moser, orbit and transform-check and was echoed
+    # as "seed":true; only optimize refused it, with exit 3
+    @pytest.mark.parametrize("command", [
+        "eval", "moser", "orbit", "transform-check", "optimize"])
+    def test_seed_refuses_bool(self, command, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, **self.EXTRA.get(command, {}), "seed": True}))
+        assert run([command, "--config", str(cfgfile),
+                    "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be an integer >= 0, got True"), err
+        assert not (tmp_path / "out").exists()
+
+    # the normalized element n = 10^20 lives on [-b_n, 0] in t = log r with
+    # b_n near 5e19: np.interp rounds its every grid value to 0, and the
+    # zero start crashed both maximizers with ZeroDivisionError
+    @pytest.mark.parametrize("mode", ["A", "B"])
+    def test_moser_start_sampling_to_zero(self, mode, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, "mode": mode,
+             "optimizer": {**LIGHT_OPT, "moser_starts": [3, 10 ** 20]}}))
+        assert run(["optimize", "--config", str(cfgfile)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: moser start {10 ** 20} samples to zero "
+                              "on the grid, radii "), err
+
     # the optimizer object: one that is no JSON object exits 2; a field of
     # the wrong type exits 3, with a message naming the field
     @pytest.mark.parametrize("optimizer, code, key", [

@@ -559,6 +559,20 @@ class TestBatch:
         assert weighted_lp_pow_batch([v] * 30, [2.0 * j for j in range(1, 31)],
                                      1.0, params) == \
             [weighted_lp_pow(v, 2.0 * j, 1.0, params) for j in range(1, 31)]
+        # one segment of z = c dt <= 2 at c = 2 - 1 and at c = 2 - 0.5 is one
+        # piece: alone each series is contracted for one column, in the
+        # batch for 399 columns of up to 401 rows
+        one = RadialProfile(log_radii=[-0.5, 0.8], values=[1.3, 0.0])
+        exponents = list(range(2, 401))
+        assert weighted_lp_pow_batch([one] * len(exponents), exponents, 1.0,
+                                     params) == \
+            [weighted_lp_pow(one, p, 1.0, params) for p in exponents]
+        # the weight norm's gradient rows, of the one piece too, alone and
+        # in a batch
+        batch.insert(3, one)
+        for u, (w, grad) in zip(batch, profiles.weight_norm_batch(batch, params)):
+            ((w_alone, grad_alone),) = profiles.weight_norm_batch([u], params)
+            assert w == w_alone and np.array_equal(grad, grad_alone)
 
     def test_node_array_tables_match_profile_tables(self):
         # a table built from (k, m) node arrays, and one rescaled row by row,

@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from tmlab import moser
-from tmlab.profiles import (RadialProfile, _segment_moments, segment_weights,
-                            weighted_lp_pow, weighted_lp_pow_batch)
+from tmlab.profiles import (_PIECE_TERMS, _PIECE_Z, RadialProfile,
+                            _segment_moments, segment_weights, weighted_lp_pow,
+                            weighted_lp_pow_batch)
 
 from conftest import MATRIX, assert_rel_close, make_params
 
@@ -125,3 +126,96 @@ def test_log_moments_where_powers_overflow():
             plateau = power * mp.log(1e5) - 1.0
             want = mp.log(2 * mp.pi) + mp.log(mp.exp(seg) + mp.exp(plateau))
         assert abs(got - float(want)) <= 1e-13 * float(abs(want))
+
+
+def _reference_moments(z, p):
+    """_bernstein_moments by a broadcast product summed over m by add.reduce,
+    which adds the terms in the order of m."""
+    ragged = np.ndim(p) > 0
+    k_max = int(np.max(p, initial=1))
+    binomials = np.array([[math.comb(k + m, m) for k in range(k_max + 1)]
+                          for m in range(_PIECE_TERMS)], dtype=float)
+    inverse_rising = np.array([[1 / math.prod(range(e + 2, e + 2 + m))
+                                for m in range(_PIECE_TERMS)]
+                               for e in range(k_max + 1)])
+    w = np.ones((_PIECE_TERMS, z.size))
+    w[1] = z
+    for h in (1, 2, 4, 8, 16):
+        end = min(2 * h + 1, _PIECE_TERMS)
+        np.multiply(w[1:end - h], w[h], out=w[h + 1:end])
+    w *= inverse_rising[p].T if ragged else inverse_rising[p][:, None]
+    moments = np.exp(-z) * np.add.reduce(binomials[:, :, None] * w[:, None], axis=0)
+    if ragged:
+        moments *= np.arange(k_max + 1.0)[:, None] <= p
+    return moments
+
+
+def _reference_segment_moments(t0, t1, u0, u1, p, c, gradient=False):
+    """_segment_moments with the powers of (lo, hi) = (a, b)/top taken by a
+    loop over k, and every sum over k by add.reduce."""
+    dt = t1 - t0
+    z = c * dt
+    if z.size == 0 or z.max() <= _PIECE_Z:
+        seg, y0, y1, a, b, width, right = np.arange(z.size), 1.0, 0.0, u0, u1, dt, t1
+    else:
+        kept = np.minimum(z, p + 10.0 * np.sqrt(p) + 50.0)
+        count = np.ceil(kept / _PIECE_Z).astype(int)
+        seg = np.repeat(np.arange(z.size), count)
+        share, last, u0, u1, dt, t1 = np.array(
+            [kept / z / count, np.cumsum(count), u0, u1, dt, t1])[:, seg]
+        y0 = share * (last - np.arange(seg.size))
+        y1 = y0 - share
+        a, b = y0 * u0 + (1.0 - y0) * u1, y1 * u0 + (1.0 - y1) * u1
+        width, right = share * dt, t1 - y1 * dt
+        p = p[seg] if np.ndim(p) else p
+    moments = _reference_moments(c * width, p)
+    top = np.maximum(a, b)
+    k = np.arange(moments.shape[0])[:, None]
+    powers = np.ones((k.size, 2, seg.size))
+    np.divide([a, b], top, out=powers[1])
+    for j in range(2, k.size):
+        np.multiply(powers[j - 1], powers[1], out=powers[j])
+    lo = (powers[np.maximum(p - k, 0), 0, np.arange(seg.size)] if np.ndim(p)
+          else powers[::-1, 0])
+    rest = np.add.reduce(lo * powers[:, 1] * moments, axis=0)
+    log_top = np.log(top)
+    log_scale = c * right + np.log(width / (p + 1.0)) + p * log_top
+    if not gradient:
+        return seg, log_scale, rest
+    below = powers[p - 1::-1, 0] * powers[:-1, 1] * np.exp(log_scale - log_top)
+    d_a = np.add.reduce((p - k[:-1]) * below * moments[:-1], axis=0)
+    d_b = np.add.reduce((k[:-1] + 1.0) * below * moments[1:], axis=0)
+    return (seg, log_scale, rest, d_a * y0 + d_b * y1,
+            d_a * (1.0 - y0) + d_b * (1.0 - y1))
+
+
+@pytest.mark.parametrize("ragged", [False, True], ids=["one-p", "ragged-p"])
+@pytest.mark.parametrize("cut, k_size, count", [
+    (cut, k_size, count) for cut in (False, True)
+    for k_size in (2, 3, 5, 50, 97, 401)
+    # (the reference's product of 333 cut segments would take gigabytes)
+    for count in ((0, 1, 2, 17, 333) if not cut else (0, 1, 2, 17))])
+def test_contraction_order(cut, k_size, count, ragged):
+    # the series is contracted over m by einsum and the powers of r are
+    # gathered from one table: each must give the bits of the sums term by
+    # term in the order of m and of k, for k_size = max(p) + 1 rows and
+    # count segments, rising, falling, flat and ending at 0; whole segments
+    # are one piece each, cut ones up to 13 (a changed loop order in a
+    # numpy upgrade fails here first)
+    rng = np.random.default_rng(1000 * k_size + count)
+    c = 1.5
+    z = rng.uniform(0.0, 25.0 if cut else _PIECE_Z, count)
+    z[:1] = 25.0 if cut else _PIECE_Z
+    t1 = rng.uniform(-3.0, 3.0, count)
+    t0 = t1 - z / c
+    u0, u1 = rng.uniform(0.05, 3.0, (2, count))
+    u0[::4], u1[1::4], u1[2::4] = 0.0, 0.0, u0[2::4]
+    p = k_size - 1
+    if ragged:
+        p = rng.integers(1, k_size, count)
+        p[:1] = k_size - 1
+    got = _segment_moments(t0, t1, u0, u1, p, c, gradient=not ragged)
+    want = _reference_segment_moments(t0, t1, u0, u1, p, c, gradient=not ragged)
+    assert got[0].size >= count and (cut or got[0].size == count)
+    for name, g, w in zip(("seg", "log_scale", "rest", "d_u0", "d_u1"), got, want):
+        assert np.array_equal(g, w), name
