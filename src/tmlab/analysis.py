@@ -330,8 +330,7 @@ def orbit_derivative(v: RadialProfile, alpha: float,
     weights = weighted_lp_pow_batch(moved, params.dim, params.gamma, at_alpha)
     on_sphere = [m.scaled((grad_norm_pow(m, at_alpha) + w) ** (-0.5))
                  for m, w in zip(moved, weights)]
-    j_vals = [lv.value for lv in functional_log_batch(on_sphere, at_alpha,
-                                                      rel_tol=1e-12)]
+    j_vals = [lv.value for lv in functional_log_batch(on_sphere, at_alpha)]
     d_h, d_h2 = ((j_vals[2 * i] - j_vals[2 * i + 1]) / (2.0 * h)
                  for i, h in enumerate(steps))
     fd = (4.0 * d_h2 - d_h) / 3.0

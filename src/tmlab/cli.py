@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import sys
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -32,11 +33,58 @@ class ConfigError(Exception):
     """Structural problem with the config document or flags."""
 
 
-_ALLOWED_KEYS = {
-    "dim", "alpha", "alpha_ratio", "beta", "gamma", "optimizer", "seed",
-    "jobs", "output", "format", "mode", "profile", "moser_index", "n_min",
-    "n_max", "alpha_ratios", "alpha_count", "count",
+def _is_number(value) -> bool:
+    # no key takes a bool; an int is a number if it converts to a float
+    return isinstance(value, float) or (_is_int(value)
+                                        and abs(value) <= sys.float_info.max)
+
+
+# each kind's name, its test of a config value and its flag's keywords; a
+# tuple kind is the tuple of allowed values, which its flag takes as choices
+_KINDS = {
+    int: ("an integer", _is_int, {"type": int}),
+    float: ("a number", _is_number, {"type": float}),
+    str: ("a string", lambda v: isinstance(v, str), {}),
+    dict: ("a JSON object", lambda v: isinstance(v, dict), {}),
+    list: ("a non-empty list of numbers",
+           lambda v: isinstance(v, list) and v != [] and all(map(_is_number, v)),
+           {"type": lambda s: [float(x) for x in s.split(",")]}),
 }
+
+# a key's kind, least value, the commands with a --flag for it (None: every
+# command), whether JSON null means the key is not set, and its flag's help
+_Key = namedtuple("_Key", "kind least flag_on null_unsets help",
+                  defaults=(None, None, False, None))
+
+# every config key, in the order of the flags in each command's help
+_KEYS = {
+    "dim": _Key(int),
+    "alpha": _Key(float, null_unsets=True),
+    "alpha_ratio": _Key(float, null_unsets=True, help="alpha as a fraction "
+                        "of the critical coefficient"),
+    "beta": _Key(float),
+    "gamma": _Key(float),
+    "seed": _Key(int, 0),
+    "jobs": _Key(int, 1, help="accepted and echoed, no effect: the multistart "
+                 "legs always run in lock step in one process"),
+    "output": _Key(str, null_unsets=True, help="write here instead of stdout"),
+    "format": _Key(("csv", "json")),
+    "profile": _Key(str, None, ("eval", "orbit"), True, "profile JSON file"),
+    "moser_index": _Key(int, None, ("eval", "orbit"), True,
+                        "use the n-th normalized concentrating element"),
+    "mode": _Key(("A", "B"), None, ("optimize",)),
+    "n_min": _Key(int, 1, ("moser",)),
+    "n_max": _Key(int, 1, ("moser",)),
+    "alpha_count": _Key(int, 1, ("relation", "asymptotic"), True),
+    "alpha_ratios": _Key(list, None, ("relation", "asymptotic"), True),
+    "count": _Key(int, 1, ("transform-check",)),
+    "optimizer": _Key(dict, None, ()),
+}
+
+
+def _kind(kind) -> tuple:
+    return _KINDS.get(kind) or (" or ".join(kind), kind.__contains__,
+                                {"choices": kind})
 
 
 def _load_config_file(path: str) -> dict:
@@ -47,42 +95,28 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = set(data) - _ALLOWED_KEYS
+    unknown = data.keys() - _KEYS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
 
 
-_KIND_NAMES = {int: "an integer", float: "a number"}
-
-
-def _convert(key: str, val, kind):
-    """kind(val) for the config value of key; a refusal names the key.  An
-    integer key takes an int and nothing else: int() would cut 3.9 to 3 and
-    read true as 1.  No key takes a bool: float() would read true as 1.0."""
-    try:
-        if isinstance(val, bool) or kind is int and not _is_int(val):
-            raise TypeError
-        return kind(val)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(
-            f"{key} must be {_KIND_NAMES[kind]}, got {val!r}") from exc
-
-
 def _resolve(args: argparse.Namespace) -> dict:
     cfg = _load_config_file(args.config) if args.config else {}
-    # each flag overrides the config key of the same name (optimizer has no flag)
-    for key in sorted(_ALLOWED_KEYS):
+    # each flag overrides the config key of the same name
+    for key in _KEYS:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg.setdefault("seed", 0)
-    cfg.setdefault("format", "csv")
-    cfg.setdefault("jobs", 1)
-    if cfg["format"] not in ("csv", "json"):
-        raise ConfigError(f"format must be csv or json, got {cfg['format']!r}")
-    if not _is_int(cfg["seed"]) or cfg["seed"] < 0:
-        raise ConfigError(f"seed must be an integer >= 0, got {cfg['seed']!r}")
+    cfg = {"seed": 0, "format": "csv", "jobs": 1, **cfg}
+    # every value checked once, before any computation
+    for key, val in cfg.items():
+        kind, least, _, null_unsets, _ = _KEYS[key]
+        name, ok, _ = _kind(kind)
+        if not (val is None and null_unsets
+                or ok(val) and (least is None or val >= least)):
+            at_least = "" if least is None else f" >= {least}"
+            raise ConfigError(f"{key} must be {name}{at_least}, got {val!r}")
     return cfg
 
 
@@ -90,34 +124,26 @@ def _params_from(cfg: dict) -> ProblemParams:
     missing = [k for k in ("dim", "beta", "gamma") if k not in cfg]
     if missing:
         raise ConfigError(f"missing required parameter keys: {missing}")
-    dim = cfg["dim"]
-    if not isinstance(dim, int):
-        raise ConfigError(f"dim must be an integer, got {dim!r}")
-    probe = ProblemParams(dim=dim, alpha=1.0,
-                          beta=_convert("beta", cfg["beta"], float),
-                          gamma=_convert("gamma", cfg["gamma"], float))
-    if "alpha" in cfg and cfg["alpha"] is not None:
-        alpha = _convert("alpha", cfg["alpha"], float)
-    elif "alpha_ratio" in cfg and cfg["alpha_ratio"] is not None:
-        ratio = _convert("alpha_ratio", cfg["alpha_ratio"], float)
-        alpha = ratio * critical_alpha_beta(probe)
+    probe = ProblemParams(dim=cfg["dim"], alpha=1.0, beta=cfg["beta"],
+                          gamma=cfg["gamma"])
+    if cfg.get("alpha") is not None:
+        alpha = cfg["alpha"]
+    elif cfg.get("alpha_ratio") is not None:
+        alpha = cfg["alpha_ratio"] * critical_alpha_beta(probe)
     else:
         raise ConfigError("one of alpha / alpha_ratio is required")
     return replace(probe, alpha=alpha)
 
 
 def _optimizer_config(cfg: dict) -> OptimizerConfig:
-    data = cfg.get("optimizer", {})
-    if not isinstance(data, dict):
-        raise ConfigError(f"optimizer must be a JSON object, got {data!r}")
-    return OptimizerConfig.from_dict({"seed": cfg.get("seed", 0), **data})
+    return OptimizerConfig.from_dict({"seed": cfg["seed"],
+                                      **cfg.get("optimizer", {})})
 
 
-def _echo(cfg: dict) -> str:
+def _echo(cfg: dict) -> dict:
     # the destination path is not semantic config: keep provenance echoes
     # byte-identical across reruns that only differ in where they write
-    semantic = {k: v for k, v in cfg.items() if k != "output"}
-    return json.dumps(semantic, sort_keys=True, separators=(",", ":"))
+    return {k: v for k, v in cfg.items() if k != "output"}
 
 
 def _emit_text(text: str, cfg: dict) -> None:
@@ -130,14 +156,14 @@ def _emit_text(text: str, cfg: dict) -> None:
 
 
 def _emit_table(table: ScanTable, cfg: dict) -> None:
-    table.comments.insert(0, f"config: {_echo(cfg)}")
+    echo = json.dumps(_echo(cfg), sort_keys=True, separators=(",", ":"))
+    table.comments.insert(0, f"config: {echo}")
     table.comments.insert(0, f"tmlab {__version__}")
     _emit_text(table.to_csv() if cfg["format"] == "csv" else table.to_json(), cfg)
 
 
 def _emit_json(payload: dict, cfg: dict) -> None:
-    semantic = {k: v for k, v in cfg.items() if k != "output"}
-    payload = {"tool": f"tmlab {__version__}", "config": semantic, **payload}
+    payload = {"tool": f"tmlab {__version__}", "config": _echo(cfg), **payload}
     _emit_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", cfg)
 
 
@@ -154,8 +180,7 @@ def _load_profile(cfg: dict, params: ProblemParams) -> RadialProfile:
         except (ValidationError, json.JSONDecodeError, TypeError) as exc:
             raise ConfigError(f"malformed profile {path}: {exc}") from exc
     if cfg.get("moser_index") is not None:
-        return moser.normalized(_convert("moser_index", cfg["moser_index"], int),
-                                params).profile
+        return moser.normalized(cfg["moser_index"], params).profile
     raise ConfigError("one of profile / moser_index is required")
 
 
@@ -177,21 +202,19 @@ def cmd_eval(cfg: dict) -> int:
 
 def cmd_optimize(cfg: dict) -> int:
     params = _params_from(cfg)
-    mode = cfg.get("mode")
-    if mode not in ("A", "B"):
-        raise ConfigError("mode must be A or B")
-    opt = _optimizer_config(cfg)
-    result = (maximize_A if mode == "A" else maximize_B)(params, opt)
+    if "mode" not in cfg:
+        raise ConfigError("missing required key: mode")
+    maximize = maximize_A if cfg["mode"] == "A" else maximize_B
+    result = maximize(params, _optimizer_config(cfg))
     _emit_json({"result": result.to_dict()}, cfg)
     return 0
 
 
 def cmd_moser(cfg: dict) -> int:
     params = _params_from(cfg)
-    n_min = _convert("n_min", cfg.get("n_min", 1), int)
-    n_max = _convert("n_max", cfg.get("n_max", 50), int)
-    if not 1 <= n_min <= n_max:
-        raise ConfigError("need 1 <= n_min <= n_max")
+    n_min, n_max = cfg.get("n_min", 1), cfg.get("n_max", 50)
+    if n_min > n_max:
+        raise ConfigError(f"need n_min <= n_max, got {n_min} > {n_max}")
     table = ScanTable(
         columns=("n", "amplitude", "log_depth", "lam", "grad_pow",
                  "weight_closed_form", "weight_quadrature", "rel_err",
@@ -214,30 +237,17 @@ def cmd_moser(cfg: dict) -> int:
 def _alpha_grid(cfg: dict, params: ProblemParams, default_ratios) -> list:
     crit = critical_alpha_beta(params)
     if cfg.get("alpha_ratios") is not None:
-        given = cfg["alpha_ratios"]
-        if not isinstance(given, list):
-            raise ConfigError(f"alpha_ratios must be a list, got {given!r}")
-        ratios = [_convert("alpha_ratios", r, float) for r in given]
-        if not ratios:
-            raise ConfigError("alpha_ratios must not be empty")
+        ratios = cfg["alpha_ratios"]
     elif cfg.get("alpha_count") is not None:
-        count = _convert("alpha_count", cfg["alpha_count"], int)
-        if count < 1:
-            raise ConfigError("alpha_count must be >= 1")
-        ratios = list(np.linspace(0.1, 0.95, count))
+        ratios = np.linspace(0.1, 0.95, cfg["alpha_count"])
     else:
-        ratios = list(default_ratios)
+        ratios = default_ratios
     return [r * crit for r in ratios]
 
 
 def cmd_relation(cfg: dict) -> int:
     params = _params_from(cfg)
     grid = _alpha_grid(cfg, params, np.linspace(0.1, 0.95, 16))
-    # jobs is echoed and changes nothing, since every maximization runs its
-    # legs in lock step in one process; a value below 1 is still refused
-    jobs = _convert("jobs", cfg["jobs"], int)
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     scan = analysis.relation_scan(params, grid, _optimizer_config(cfg))
     if cfg["format"] == "json":
         _emit_json({
@@ -273,17 +283,14 @@ def cmd_orbit(cfg: dict) -> int:
 
 def cmd_transform_check(cfg: dict) -> int:
     params = _params_from(cfg)
-    count = _convert("count", cfg.get("count", 20), int)
-    if count < 1:
-        raise ConfigError("count must be >= 1")
-    rng = np.random.default_rng(cfg["seed"])  # an int >= 0: _resolve checks it
+    rng = np.random.default_rng(cfg["seed"])
     spec = transform.TransformSpec.from_params(params)
     table = ScanTable(
         columns=("index", "grad_rel_err", "weight_map_rel_err",
                  "identity_residual", "roundtrip_rel_err"),
         comments=["radial change-of-functions checks on seeded random profiles"])
     n = params.dim
-    us = [random_profile(rng) for _ in range(count)]
+    us = [random_profile(rng) for _ in range(cfg.get("count", 20))]
     vs = [transform.push_profile(u, spec) for u in us]
     w_us = weighted_lp_pow_batch(us, n, params.gamma, params)
     w_vs = weighted_lp_pow_batch(vs, n, 0.0, params)
@@ -324,33 +331,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _HANDLERS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config document")
-        p.add_argument("--dim", type=int)
-        p.add_argument("--alpha", type=float)
-        p.add_argument("--alpha-ratio", dest="alpha_ratio", type=float,
-                       help="alpha as a fraction of the critical coefficient")
-        p.add_argument("--beta", type=float)
-        p.add_argument("--gamma", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--jobs", type=int,
-                       help="accepted and echoed, no effect: the multistart "
-                       "legs always run in lock step in one process")
-        p.add_argument("--output", help="write here instead of stdout")
-        p.add_argument("--format", choices=("csv", "json"))
-        if name in ("eval", "orbit"):
-            p.add_argument("--profile", help="profile JSON file")
-            p.add_argument("--moser-index", dest="moser_index", type=int,
-                           help="use the n-th normalized concentrating element")
-        if name == "optimize":
-            p.add_argument("--mode", choices=("A", "B"))
-        if name == "moser":
-            p.add_argument("--n-min", dest="n_min", type=int)
-            p.add_argument("--n-max", dest="n_max", type=int)
-        if name in ("relation", "asymptotic"):
-            p.add_argument("--alpha-count", dest="alpha_count", type=int)
-            p.add_argument("--alpha-ratios", dest="alpha_ratios",
-                           type=lambda s: [float(x) for x in s.split(",")])
-        if name == "transform-check":
-            p.add_argument("--count", type=int)
+        for key, spec in _KEYS.items():
+            if spec.flag_on is None or name in spec.flag_on:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               help=spec.help, **_kind(spec.kind)[2])
     return parser
 
 
@@ -363,16 +347,13 @@ def run(argv) -> int:
     try:
         cfg = _resolve(args)
         return _HANDLERS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DomainError, PreconditionError, DegenerateInputError,
             DivergentWeightError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

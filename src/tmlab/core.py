@@ -87,6 +87,9 @@ class ProblemParams:
         _validate_dim(self.dim)
         for name in ("alpha", "beta", "gamma"):
             v = getattr(self, name)
+            if type(v) is int:  # a JSON number with no point: the float it names
+                v = float(v)
+                object.__setattr__(self, name, v)
             if not math.isfinite(v):
                 raise DomainError(f"{name} must be finite, got {v!r}")
         if self.alpha <= 0:

@@ -73,9 +73,8 @@ def _is_int(value) -> bool:
 class OptimizerConfig:
     """Grid, step rule, stopping rule, and multistart policy.
 
-    quad_tol is accepted, checked and passed on, and changes nothing: J is
-    a closed form at N = 2 and one fixed quadrature pass at N >= 3, and the
-    norms are closed forms, so no computation takes a tolerance.
+    quad_tol is checked and changes nothing (J and the norms are closed
+    forms or one fixed pass); perfbench/tracing.py's micro() reads it.
     """
 
     node_count: int = 129
@@ -204,7 +203,7 @@ def starting_profiles(params: ProblemParams, config: OptimizerConfig):
     return starts
 
 
-def _objective(values, radii, params, quad_tol, theta, kappa):
+def _objective(values, radii, params, theta, kappa):
     """R(u) = J(v) w(v)^-theta, v = s u, s = (g + kappa w)^(-1/N), and its gradient.
 
     g and w are the gradient and weight norm powers of u, both closed forms
@@ -223,8 +222,7 @@ def _objective(values, radii, params, quad_tol, theta, kappa):
     full = [x + kappa * y for x, y in zip(g, w)]
     # the rows' scalars in Python floats: numpy's ** rounds some powers otherwise
     s = [f ** (-1.0 / n) if f > 0.0 and x > 0.0 else 0.0 for f, x in zip(full, w)]
-    passes = functional_log_batch(live.scaled(np.array(s)), params, quad_tol,
-                                  gradient=True)
+    passes = functional_log_batch(live.scaled(np.array(s)), params, gradient=True)
     j = [jl.value for jl, _ in passes]
     w_v = [x * si ** n for x, si in zip(w, s)]
     a = [wv ** -theta if si else 0.0 for wv, si in zip(w_v, s)]
@@ -243,28 +241,30 @@ def _objective(values, radii, params, quad_tol, theta, kappa):
     return out[0] if single else out
 
 
-def _objective_b(values, radii, params, quad_tol):
-    """Mode B, R(u) = J(u / ||u||_X): theta = 0 on the full-norm sphere."""
-    return _objective(values, radii, params, quad_tol, 0.0, 1.0)
+def _objective_b(values, radii, params, quad_tol=None):
+    """Mode B, R(u) = J(u / ||u||_X): theta = 0 on the full-norm sphere.
+    quad_tol is unused: perfbench/tracing.py's micro() passes it."""
+    return _objective(values, radii, params, 0.0, 1.0)
 
 
-def _objective_a(values, radii, params, quad_tol):
-    """Mode A, R(u) = J(v) / ||v||_w^theta with v = u / ||grad u||."""
+def _objective_a(values, radii, params, quad_tol=None):
+    """Mode A, R(u) = J(v) / ||v||_w^theta with v = u / ||grad u||.
+    quad_tol is unused: perfbench/tracing.py's micro() passes it."""
     theta = (params.dim - params.beta) / (params.dim - params.gamma)
-    return _objective(values, radii, params, quad_tol, theta, 0.0)
+    return _objective(values, radii, params, theta, 0.0)
 
 
-def _functional_values(values, radii, params, quad_tol):
+def _functional_values(values, radii, params):
     """J of each profile of a checked (k, nodes) batch, from one J pass."""
     live = LiveSegments.of_nodes(*checked_nodes(radii, values))
-    return [j.value for j in functional_log_batch(live, params, quad_tol)]
+    return [j.value for j in functional_log_batch(live, params)]
 
 
-def _drive(legs, params, quad_tol):
+def _drive(legs, params):
     """Run generator legs in lock step; returns what each leg returns, in order.
 
     A leg yields a request (fn, values, radii) for one profile and is sent
-    fn(values, radii, params, quad_tol) of it.  Each step collects the next
+    fn(values, radii, params) of it.  Each step collects the next
     request of every leg still running, groups them by fn and node count, and
     answers each group with one call on the stacked batch.  A profile's
     answer is the same bit for bit in any batch, so a leg runs exactly as it
@@ -286,7 +286,7 @@ def _drive(legs, params, quad_tol):
         answers = {}
         for (fn, _), members in groups.items():
             out = fn(np.stack([pending[i][1] for i in members]),
-                     np.stack([pending[i][2] for i in members]), params, quad_tol)
+                     np.stack([pending[i][2] for i in members]), params)
             answers.update(zip(members, out))
     return results
 
@@ -443,10 +443,9 @@ def _polish_steps(profile, params, value):
     return profile, value
 
 
-def _dilation_polish(profile, params, value, quad_tol):
+def _dilation_polish(profile, params, value):
     """_polish_steps run alone: (profile, value) after the dilation polish."""
-    return _drive([_polish_steps(profile, params, value)],
-                  params, quad_tol)[0]
+    return _drive([_polish_steps(profile, params, value)], params)[0]
 
 
 def _leg(start_id, profile, params, config, mode):
@@ -455,7 +454,6 @@ def _leg(start_id, profile, params, config, mode):
     A generator of evaluation requests (see _drive); returns the leg's
     MaximizationResult.
     """
-    quad_tol = config.quad_tol
     n = params.dim
     trace = []
     converged = False
@@ -511,15 +509,14 @@ def _leg(start_id, profile, params, config, mode):
 
 def _ascend(start_id, profile, params, config, mode):
     """One multistart leg run alone, through the lock-step driver."""
-    return _drive([_leg(start_id, profile, params, config, mode)],
-                  params, config.quad_tol)[0]
+    return _drive([_leg(start_id, profile, params, config, mode)], params)[0]
 
 
 def _best_over_starts(params, config, mode, extra_starts):
     starts = list(extra_starts) + starting_profiles(params, config)
     # results come back in roster order, and max keeps the first of equal values
     return max(_drive([_leg(sid, prof, params, config, mode)
-                       for sid, prof in starts], params, config.quad_tol),
+                       for sid, prof in starts], params),
                key=lambda r: r.value)
 
 

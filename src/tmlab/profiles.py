@@ -41,9 +41,6 @@ from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      ValidationError)
 from . import dawson, quadrature
 
-# The default of the rel_tol arguments, which are accepted and change
-# nothing: every quantity is a closed form or one fixed quadrature pass.
-TOL_QUAD = 1e-10
 # The weighted moments cut a segment into pieces of z = (N - delta) dt at
 # most _PIECE_Z, where _PIECE_TERMS terms of a series reach rounding
 # (2^25/25! < 3e-18).
@@ -376,15 +373,15 @@ def _weighted_moments(profiles, p, delta: float, params: ProblemParams,
     return top, sums, [grad[a:b] for a, b in zip(starts[:-1], starts[1:])]
 
 
-def functional_log_batch(profiles, params: ProblemParams,
-                         rel_tol: float = TOL_QUAD, gradient=False) -> list:
+def functional_log_batch(profiles, params: ProblemParams, *,
+                         gradient=False) -> list:
     """The functional of each profile as a LogValue; with gradient, (LogValue,
     node gradient) pairs.  Each segment's integral is kept as e^shift times
     a value, with shift the larger end value of the exponent (convex in t),
     so J past overflow stays exact in log; a profile's results are the same
     bit for bit in any batch, and J the same with or without the gradient.
     The gradient rows are the chain rule times the two hat weights.  Warns
-    if a gradient row overflowed.  rel_tol is accepted and unused.
+    if a gradient row overflowed.
 
     At N = 2 every segment integral is a closed form in Dawson's function
     (dawson.segment_functional), exact to rounding with its gradient rows.
@@ -469,10 +466,11 @@ def grad_norm_pow_nodes(t, u, params: ProblemParams, gradient=False):
 
 
 def weighted_lp_pow(profile: RadialProfile, p: float, delta: float,
-                    params: ProblemParams, rel_tol: float = TOL_QUAD) -> float:
+                    params: ProblemParams, rel_tol=None) -> float:
     """Weighted integral omega * int_0^inf u(r)^p r^(N-1-delta) dr, p an integer.
 
-    Exact to rounding (see _segment_moments); rel_tol is accepted and unused.
+    Exact to rounding (see _segment_moments).  rel_tol is unused:
+    perfbench/tracing.py's micro() passes it.
     """
     return weighted_lp_pow_batch([profile], p, delta, params)[0]
 
@@ -515,28 +513,30 @@ def norms(profile: RadialProfile, params: ProblemParams) -> NormReport:
 
 
 def functional_log(profile: RadialProfile, params: ProblemParams,
-                   rel_tol: float = TOL_QUAD) -> LogValue:
-    """omega * int_0^inf Phi_N(alpha u^(N/(N-1))) r^(N-1-beta) dr in log scale."""
-    return functional_log_batch([profile], params, rel_tol)[0]
+                   rel_tol=None) -> LogValue:
+    """omega * int_0^inf Phi_N(alpha u^(N/(N-1))) r^(N-1-beta) dr in log scale.
+    rel_tol is unused: perfbench/tracing.py's micro() passes it."""
+    return functional_log_batch([profile], params)[0]
 
 
-def functional(profile: RadialProfile, params: ProblemParams,
-               rel_tol: float = TOL_QUAD) -> float:
+def functional(profile: RadialProfile, params: ProblemParams) -> float:
     """Linear-scale functional value (inf when saturated; see functional_log)."""
-    return functional_log(profile, params, rel_tol=rel_tol).value
+    return functional_log(profile, params).value
 
 
 def functional_gradient(profile: RadialProfile, params: ProblemParams,
-                        rel_tol: float = TOL_QUAD) -> np.ndarray:
-    """Partial derivatives of the functional with respect to the node values."""
-    return functional_log_batch([profile], params, rel_tol, gradient=True)[0][1]
+                        rel_tol=None) -> np.ndarray:
+    """Partial derivatives of the functional with respect to the node values.
+    rel_tol is unused: perfbench/tracing.py's micro() passes it."""
+    return functional_log_batch([profile], params, gradient=True)[0][1]
 
 
 def norms_gradient(profile: RadialProfile, params: ProblemParams,
-                   rel_tol: float = TOL_QUAD):
+                   rel_tol=None):
     """Gradients of grad_pow and weight_pow with respect to node values.
 
-    Both are exact (closed forms); rel_tol is accepted and unused.
+    Both are exact (closed forms).  rel_tol is unused:
+    perfbench/tracing.py's micro() passes it.
     """
     d_weight = weight_norm_batch([profile], params)[0][1]
     return (grad_norm_pow_nodes(profile.log_radii, profile.values, params,

@@ -97,8 +97,7 @@ def integral_identity_factor(params: ProblemParams) -> float:
     return (n - 1.0 + n * (g - b) / (n - g)) * math.log(spec.shrink)
 
 
-def verify_integral_identity(u: RadialProfile, params: ProblemParams,
-                             rel_tol: float = 1e-10) -> float:
+def verify_integral_identity(u: RadialProfile, params: ProblemParams) -> float:
     """Relative residual between the two sides of the change-of-variables identity.
 
     Left side: the functional of u at (alpha, beta, gamma).  Right side: the
@@ -107,15 +106,14 @@ def verify_integral_identity(u: RadialProfile, params: ProblemParams,
     independently; the residual is |1 - rhs/lhs| computed in log scale.
     """
     v = push_profile(u, TransformSpec.from_params(params))
-    return verify_integral_identity_batch([u], [v], params, rel_tol)[0]
+    return verify_integral_identity_batch([u], [v], params)[0]
 
 
-def verify_integral_identity_batch(us, vs, params: ProblemParams,
-                                   rel_tol: float = 1e-10) -> list:
+def verify_integral_identity_batch(us, vs, params: ProblemParams) -> list:
     """verify_integral_identity of each u in us, vs their pushes, bit for bit."""
     factor = integral_identity_factor(params)
-    lhs = functional_log_batch(us, params, rel_tol)
-    rhs = functional_log_batch(vs, transformed_params(params), rel_tol)
+    lhs = functional_log_batch(us, params)
+    rhs = functional_log_batch(vs, transformed_params(params))
     residuals = []
     for left, right in zip(lhs, rhs):
         rhs_log = factor + right.log

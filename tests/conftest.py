@@ -119,18 +119,16 @@ def worst_gradient_error(params, profile):
     """Worst gradient_rel_error of the three analytic node gradients.
 
     The gradients of the functional and of both norm powers are compared with
-    finite_difference_gradient of the values, integrated at quadrature
-    tolerance 1e-13.  A gradient whose analytic and difference forms both stay
-    at or below 1e-7 is skipped: at that precision there is nothing to resolve.
+    finite_difference_gradient of the values.  A gradient whose analytic and
+    difference forms both stay at or below 1e-7 is skipped: at that precision
+    there is nothing to resolve.
     """
-    tol = 1e-13
-    d_grad, d_weight = norms_gradient(profile, params, rel_tol=tol)
+    d_grad, d_weight = norms_gradient(profile, params)
     targets = [
-        (functional_gradient(profile, params, rel_tol=tol),
-         lambda p: functional(p, params, rel_tol=tol)),
+        (functional_gradient(profile, params), lambda p: functional(p, params)),
         (d_grad, lambda p: grad_norm_pow(p, params)),
         (d_weight, lambda p: weighted_lp_pow(p, params.dim, params.gamma,
-                                             params, rel_tol=tol)),
+                                             params)),
     ]
     worst = 0.0
     for analytic, fn in targets:

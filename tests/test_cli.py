@@ -1,13 +1,16 @@
+import argparse
 import concurrent.futures
+import itertools
 import json
 import os
+import pathlib
 import re
 import subprocess
 import sys
 
 import pytest
 
-from tmlab import RadialProfile
+from tmlab import RadialProfile, cli
 from tmlab.cli import run
 
 LIGHT_OPT = {"moser_starts": [3], "random_starts": 0, "max_iters": 40,
@@ -314,11 +317,13 @@ class TestConfigHandling:
                 "--gamma", "0"]
         assert run(["relation", *cell, "--alpha-count", "0"]) == 2
         assert run(["asymptotic", *cell, "--alpha-count", "0"]) == 2
-        assert capsys.readouterr().err.count("alpha_count must be >= 1") == 2
+        assert capsys.readouterr().err == \
+            "error: alpha_count must be an integer >= 1, got 0\n" * 2
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"alpha_ratios": []}))
         assert run(["asymptotic", "--config", str(cfgfile), *cell]) == 2
-        assert "alpha_ratios must not be empty" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: alpha_ratios must be a "
+                                           "non-empty list of numbers, got []\n")
 
     def test_moser_index_zero_exit_3(self, capsys):
         cell = ["--dim", "2", "--alpha-ratio", "0.5", "--beta", "0",
@@ -334,6 +339,28 @@ class TestConfigHandling:
         assert run(["eval", "--dim", "2", "--alpha-ratio", "0.5", "--beta",
                     "1.9", "--gamma", "0", "--moser-index", index]) == 3
         assert f"error: index n={index} is too large" in capsys.readouterr().err
+
+    def test_integer_numbers_run_as_floats(self, tmp_path, capsys):
+        # the handlers take number keys as given; the echo keeps them so,
+        # and the problem computes with the floats they name
+        out = {}
+        for kind in (int, float):
+            cfgfile = tmp_path / f"{kind.__name__}.json"
+            cfgfile.write_text(json.dumps({"dim": 2, "alpha_ratio": kind(1),
+                                           "beta": kind(1), "gamma": kind(0),
+                                           "moser_index": 4}))
+            target = tmp_path / f"{kind.__name__}.out"
+            assert run(["eval", "--config", str(cfgfile),
+                        "--output", str(target)]) == 0
+            out[kind] = json.loads(target.read_text())
+        assert out[int].pop("config")["beta"] == 1
+        assert out[float].pop("config")["beta"] == 1.0
+        assert out[int] == out[float]
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"dim": 2, "alpha": 20, "beta": 0,
+                                       "gamma": 0, "mode": "B"}))
+        assert run(["optimize", "--config", str(cfgfile)]) == 3
+        assert capsys.readouterr().err.startswith("error: alpha=20.0 exceeds")
 
     def test_jobs_flag_does_not_change_output(self, tmp_path, monkeypatch):
         # no jobs value may start a worker pool: every maximization runs its
@@ -356,16 +383,17 @@ class TestConfigHandling:
 
 
 class TestWrongTypedConfig:
-    # each config value the commands convert with int() or float(): a value
-    # of the wrong type is refused with exit 2 and a message naming its key
+    # a config value of the wrong kind is refused with exit 2 and a message
+    # naming its key
     CELL = {"dim": 2, "alpha_ratio": 0.5, "beta": 0.0, "gamma": 0.0}
     CASES = {
         "eval": [{"beta": "x"}, {"gamma": [1]}, {"moser_index": "x"}],
         "optimize": [{"alpha": "x"}, {"alpha_ratio": {}}],
-        "moser": [{"n_min": "x"}, {"n_max": 1e400}],
+        "moser": [{"n_min": "x"}, {"n_max": 1e400}, {"beta": 10 ** 400}],
         "relation": [{"alpha_count": "x"}, {"alpha_ratios": [0.5, "x"]},
                      {"jobs": "x"}, {"jobs": 0}],
-        "asymptotic": [{"alpha_ratios": "0.5,0.9"}, {"alpha_ratios": [None]}],
+        "asymptotic": [{"alpha_ratios": "0.5,0.9"}, {"alpha_ratios": [None]},
+                       {"alpha_ratios": [0.5, 10 ** 400]}],
         "orbit": [{"moser_index": [3]}, {"beta": None}],
         "transform-check": [{"count": "x"}],
     }
@@ -383,6 +411,40 @@ class TestWrongTypedConfig:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {key} must be "), err
 
+    # JSON null means "not set" for seven keys: each then runs as if absent
+    # (the echo keeps the null, and never holds output); every other key
+    # refuses it
+    def test_null_key_by_key(self, tmp_path, capsys):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps(
+            RadialProfile.from_radii([1.0, 2.0], [1.0, 0.0]).to_dict()))
+        by_ratio = {**self.CELL, "moser_index": 3}
+        by_alpha = {"dim": 2, "alpha": 5.0, "beta": 0.0, "gamma": 0.0,
+                    "profile": str(pfile)}
+
+        def body(cfg):
+            cfgfile = tmp_path / "cfg.json"
+            cfgfile.write_text(json.dumps(cfg))
+            rc = run(["eval", "--config", str(cfgfile)])
+            out, err = capsys.readouterr()
+            if rc:
+                return rc, err
+            out = json.loads(out)
+            echo = {"seed": 0, "format": "csv", "jobs": 1, **cfg}
+            echo.pop("output", None)
+            assert out.pop("config") == echo
+            return rc, out
+
+        unset_in = {"alpha": by_ratio, "output": by_ratio, "profile": by_ratio,
+                    "alpha_ratios": by_ratio, "alpha_count": by_ratio,
+                    "alpha_ratio": by_alpha, "moser_index": by_alpha}
+        for key, base in unset_in.items():
+            alone = body(base)
+            assert alone[0] == 0 and body({**base, key: None}) == alone, key
+        for key in sorted(cli._KEYS.keys() - unset_in.keys()):
+            rc, err = body({**by_ratio, key: None})
+            assert rc == 2, key
+            assert re.fullmatch(f"error: {key} must be .+, got None\n", err), err
 
     # an integer key takes an int only: int() would cut 3.9 to 3 (moser ran
     # n = 1..3 for n_max 3.9) and read true as 1
@@ -398,8 +460,9 @@ class TestWrongTypedConfig:
         cfgfile.write_text(json.dumps(
             {**self.CELL, **self.EXTRA.get(command, {}), key: value}))
         assert run([command, "--config", str(cfgfile)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be an integer, got "), err
+        least = "" if key == "moser_index" else " >= 1"
+        assert capsys.readouterr().err == \
+            f"error: {key} must be an integer{least}, got {value!r}\n"
 
     # no key takes a bool: float() read "beta": true as beta = 1
     @pytest.mark.parametrize("command, key, value", [
@@ -412,8 +475,10 @@ class TestWrongTypedConfig:
         cfgfile.write_text(json.dumps(
             {**self.CELL, **self.EXTRA.get(command, {}), key: value}))
         assert run([command, "--config", str(cfgfile)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be a number, got "), err
+        kind = ("a non-empty list of numbers" if key == "alpha_ratios"
+                else "a number")
+        assert capsys.readouterr().err == \
+            f"error: {key} must be {kind}, got {value!r}\n"
 
     # a bool seed ran eval, moser, orbit and transform-check and was echoed
     # as "seed":true; only optimize refused it, with exit 3
@@ -462,6 +527,133 @@ class TestWrongTypedConfig:
         assert run(["optimize", "--config", str(cfgfile)]) == code
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be "), err
+
+    # an int output was taken as a file descriptor, written to and closed,
+    # with exit 0, and an int profile was read from one and closed; a list
+    # output or profile ended in a TypeError traceback
+    @pytest.mark.parametrize("value", [1, 2, ["x"]], ids=str)
+    @pytest.mark.parametrize("key", ["output", "profile"])
+    def test_path_key_refuses_non_string(self, key, value, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, "moser_index": 3, key: value}))
+        assert run(["eval", "--config", str(cfgfile)]) == 2
+        os.fstat(1)  # raises if the run closed stdout
+        os.fstat(2)
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be a string, got {value!r}\n"
+
+    # dim true ran into ProblemParams and exited 3; jobs was checked by
+    # relation only, so eval --jobs 0 exited 0
+    @pytest.mark.parametrize("bad, text", [
+        ({"dim": True}, "dim must be an integer, got True"),
+        ({"jobs": 0}, "jobs must be an integer >= 1, got 0"),
+        ({"jobs": "x"}, "jobs must be an integer >= 1, got 'x'"),
+        ({"jobs": 2.0}, "jobs must be an integer >= 1, got 2.0"),
+    ], ids=["dim-true", "jobs-0", "jobs-str", "jobs-float"])
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_wrong_type_exit_2_on_every_command(self, command, bad, text,
+                                                tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, **self.EXTRA.get(command, {}), **bad}))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfgfile), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_jobs_flag_below_one_exit_2(self, command, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, **self.EXTRA.get(command, {})}))
+        assert run([command, "--config", str(cfgfile), "--jobs", "0",
+                    "--output", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == \
+            "error: jobs must be an integer >= 1, got 0\n"
+
+
+def _list_of_numbers(text):
+    return [float(x) for x in text.split(",")]
+
+
+_COMMON_FLAGS = {
+    "--config": ("config", None, None, "JSON config document"),
+    "--dim": ("dim", int, None, None),
+    "--alpha": ("alpha", float, None, None),
+    "--alpha-ratio": ("alpha_ratio", float, None,
+                      "alpha as a fraction of the critical coefficient"),
+    "--beta": ("beta", float, None, None),
+    "--gamma": ("gamma", float, None, None),
+    "--seed": ("seed", int, None, None),
+    "--jobs": ("jobs", int, None, "accepted and echoed, no effect: the "
+               "multistart legs always run in lock step in one process"),
+    "--output": ("output", None, None, "write here instead of stdout"),
+    "--format": ("format", None, ("csv", "json"), None),
+}
+_PROFILE_FLAGS = {
+    "--profile": ("profile", None, None, "profile JSON file"),
+    "--moser-index": ("moser_index", int, None,
+                      "use the n-th normalized concentrating element"),
+}
+_GRID_FLAGS = {
+    "--alpha-count": ("alpha_count", int, None, None),
+    "--alpha-ratios": ("alpha_ratios", _list_of_numbers, None, None),
+}
+# every subcommand's flags: (dest, type, choices, help), as hand-written
+# before the parser was built from the config-key table
+FLAG_SURFACE = {
+    "eval": {**_COMMON_FLAGS, **_PROFILE_FLAGS},
+    "optimize": {**_COMMON_FLAGS, "--mode": ("mode", None, ("A", "B"), None)},
+    "moser": {**_COMMON_FLAGS, "--n-min": ("n_min", int, None, None),
+              "--n-max": ("n_max", int, None, None)},
+    "relation": {**_COMMON_FLAGS, **_GRID_FLAGS},
+    "asymptotic": {**_COMMON_FLAGS, **_GRID_FLAGS},
+    "orbit": {**_COMMON_FLAGS, **_PROFILE_FLAGS},
+    "transform-check": {**_COMMON_FLAGS, "--count": ("count", int, None, None)},
+}
+
+
+class TestFlagSurface:
+    def test_flags_of_every_subcommand(self):
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser  # built once per process
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        assert list(sub.choices) == list(FLAG_SURFACE)
+        for name, sp in sub.choices.items():
+            got = {}
+            for action in sp._actions:
+                if isinstance(action, argparse._HelpAction):
+                    continue
+                (flag,) = action.option_strings
+                kind = action.type
+                if kind not in (None, int, float):
+                    # the comma-separated list, compared by what it parses
+                    assert kind("0.5,2,-1e-3") == [0.5, 2.0, -1e-3]
+                    assert kind("7") == [7.0]
+                    kind = _list_of_numbers
+                got[flag] = (action.dest, kind, action.choices, action.help)
+            assert got == FLAG_SURFACE[name], name
+
+    def test_readme_key_table_matches_keys(self):
+        # README's "Config keys" table:
+        # | key | kind | least | default | JSON null | flag on |
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        lines = readme.read_text().split("### Config keys", 1)[1].splitlines()
+        start = next(i for i, line in enumerate(lines) if line.startswith("|"))
+        rows = itertools.takewhile(lambda line: line.startswith("|"),
+                                   lines[start + 2:])
+        table = {cells[0].strip("`"): cells[1:] for cells in (
+            [c.strip() for c in row.strip("|").split("|")] for row in rows)}
+        assert list(table) == list(cli._KEYS)
+        for key, spec in cli._KEYS.items():
+            kind, least, _, null, flags = table[key]
+            assert kind == cli._kind(spec.kind)[0], key
+            assert least == ("" if spec.least is None else str(spec.least)), key
+            assert null == ("not set" if spec.null_unsets else "refused"), key
+            assert flags == ("all" if spec.flag_on is None
+                             else ", ".join(spec.flag_on) or "none"), key
 
 
 class TestRunRepeatedInOneProcess:

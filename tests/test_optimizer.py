@@ -126,7 +126,7 @@ def _polish(profile, params):
         while True:
             fn, values, radii = request
             evaluated.append(profile.log_radii[0] - math.log(radii[0]))
-            request = steps.send(fn(values[None], radii[None], params, 1e-10)[0])
+            request = steps.send(fn(values[None], radii[None], params)[0])
     except StopIteration as stop:
         return (*stop.value, evaluated)
 
@@ -155,7 +155,7 @@ class TestDilationPolish:
                               for x in s]) ** (-1.0 / params.dim)
             return np.array(optimizer._functional_values(
                 scale[:, None] * v.values, np.exp(v.log_radii - s[:, None]),
-                params, 1e-10))
+                params))
 
         center, half = 0.0, optimizer._POLISH_SPAN
         while half > 1e-8:  # zoom a 201-point scan in on its best point
@@ -310,11 +310,11 @@ class TestCompositeObjectives:
         for objective, count in ((optimizer._objective_a, 1),
                                  (optimizer._objective_b, 1)):
             passes.clear()
-            objective(p.values, p.radii, params, 1e-10)
+            objective(p.values, p.radii, params)
             assert len(passes) == count, objective.__name__
         unit = p.scaled(norms(p, params).full_pow ** (-1.0 / params.dim))
         passes.clear()
-        optimizer._dilation_polish(unit, params, 0.0, 1e-10)
+        optimizer._dilation_polish(unit, params, 0.0)
         assert len(passes) == len(polish_steps) > 0
 
 
@@ -352,7 +352,7 @@ class TestLockStep:
         logs = [[] for _ in starts]
         legs = [_tapped(optimizer._leg(sid, prof, params, cfg, mode), log)
                 for (sid, prof), log in zip(starts, logs)]
-        together = optimizer._drive(legs, params, cfg.quad_tol)
+        together = optimizer._drive(legs, params)
         for (sid, prof), res in zip(starts, together):
             alone = optimizer._ascend(sid, prof, params, cfg, mode)
             assert json.dumps(res.to_dict()) == json.dumps(alone.to_dict()), sid
@@ -382,7 +382,7 @@ class TestLockStep:
         for fn, count in ((optimizer._objective_a, 1), (optimizer._objective_b, 1),
                           (optimizer._functional_values, 1)):
             passes.clear()
-            assert len(fn(values, radii, params, 1e-10)) == k
+            assert len(fn(values, radii, params)) == k
             assert len(passes) == count, fn.__name__
 
     def test_steps_do_not_grow_with_legs(self, monkeypatch):
@@ -401,12 +401,12 @@ class TestLockStep:
         for k in (1, 3):
             calls.clear()
             legs = [optimizer._leg(sid, prof, params, cfg, "B") for _ in range(k)]
-            optimizer._drive(legs, params, cfg.quad_tol)
+            optimizer._drive(legs, params)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
 
 
-def _reference(values, radii, params, quad_tol, theta, kappa):
+def _reference(values, radii, params, theta, kappa):
     """The objective row by row from profile objects and the one-profile
     entry points: the chain rule of optimizer._objective, one row at a time."""
     n = params.dim
@@ -419,7 +419,7 @@ def _reference(values, radii, params, quad_tol, theta, kappa):
             out.append((0.0, np.zeros_like(u)))
             continue
         s = full ** (-1.0 / n)
-        ((j, g_j),) = functional_log_batch([prof.scaled(s)], params, quad_tol,
+        ((j, g_j),) = functional_log_batch([prof.scaled(s)], params,
                                            gradient=True)
         j, w_v = j.value, w * s ** n
         dr = (g_j * w_v ** -theta
@@ -457,14 +457,14 @@ class TestNodeArrayBatches:
         theta_a = (params.dim - params.beta) / (params.dim - params.gamma)
         for fn, theta, kappa in ((optimizer._objective_a, theta_a, 0.0),
                                  (optimizer._objective_b, 0.0, 1.0)):
-            got = fn(values, radii, params, 1e-10)
-            want = _reference(values, radii, params, 1e-10, theta, kappa)
+            got = fn(values, radii, params)
+            want = _reference(values, radii, params, theta, kappa)
             assert len(got) == k
             for (v, g), (v_ref, g_ref) in zip(got, want):
                 assert v == v_ref and g.tobytes() == g_ref.tobytes(), fn.__name__
-        want = [functional_log_batch([RadialProfile.from_radii(r, u)], params,
-                                     1e-10)[0].value for u, r in zip(values, radii)]
-        assert optimizer._functional_values(values, radii, params, 1e-10) == want
+        want = [functional_log_batch([RadialProfile.from_radii(r, u)],
+                                     params)[0].value for u, r in zip(values, radii)]
+        assert optimizer._functional_values(values, radii, params) == want
 
     def test_one_profile_and_zero_rows(self):
         # micro() passes one profile's 1-D nodes; a zero row gives (0, 0)
@@ -475,11 +475,11 @@ class TestNodeArrayBatches:
         values, radii = _request_batch(3, 7)
         values[1] = 0.0
         for fn in (optimizer._objective_a, optimizer._objective_b):
-            got = fn(values, radii, params, 1e-10)
+            got = fn(values, radii, params)
             assert got[1][0] == 0.0
             assert got[1][1].tobytes() == np.zeros(12).tobytes()
             for i in (0, 2):
-                value, grad = fn(values[i], radii[i], params, 1e-10)
+                value, grad = fn(values[i], radii[i], params)
                 assert value == got[i][0] and grad.tobytes() == got[i][1].tobytes()
 
     @pytest.mark.parametrize("n_dim", [2, 3])
@@ -495,7 +495,7 @@ class TestNodeArrayBatches:
         for fn in (optimizer._objective_a, optimizer._objective_b,
                    optimizer._functional_values):
             legs = [_one_request(fn, u, r) for u, r in zip(values, radii)]
-            assert len(optimizer._drive(legs, params, 1e-10)) == 4
+            assert len(optimizer._drive(legs, params)) == 4
         assert built == []
 
     FAULTS = {
@@ -516,7 +516,7 @@ class TestNodeArrayBatches:
         values, radii = _request_batch(3, 13)
         for fn in (optimizer._objective_a, optimizer._objective_b,
                    optimizer._functional_values):
-            fn(values, radii, params, 1e-10)  # the clean batch passes
+            fn(values, radii, params)  # the clean batch passes
         bad = {"values": values.copy(), "radii": radii.copy()}
         bad[name][row] = spoil(bad[name][row])
         with pytest.raises(ValidationError):
@@ -524,7 +524,7 @@ class TestNodeArrayBatches:
         for fn in (optimizer._objective_a, optimizer._objective_b,
                    optimizer._functional_values):
             with pytest.raises(ValidationError):
-                fn(bad["values"], bad["radii"], params, 1e-10)
+                fn(bad["values"], bad["radii"], params)
 
 
 class TestResultSerialization:

@@ -181,22 +181,26 @@ class TestWeightedLpPow:
             assert_rel_close(got, ref, 1e-9)
 
     def test_rel_tol_changes_nothing(self):
-        # J at N >= 3 comes from one fixed pass, without a tolerance or a cap:
-        # any rel_tol gives the same bits, and nothing warns
+        # J at N >= 3 comes from one fixed pass, without a tolerance or a cap,
+        # and the norms are closed forms: the four functions that still take
+        # a rel_tol give the same bits at any, and nothing warns
         params = make_params((3, 1.0, 0.5))
         p = RadialProfile.from_radii([1.0, 2.0, 5.0], [1.0, 0.5, 0.0])
         q = RadialProfile.from_radii([0.5, 3.0], [2.0, 0.0])
-        batch = [p, ZERO, q, p]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            js = functional_log_batch(batch, params)
-            fused = functional_log_batch(batch, params, gradient=True)
-            for tol in (1e-30, 1e-3):
-                assert [j.log for j in functional_log_batch(
-                    batch, params, rel_tol=tol)] == [j.log for j in js]
-                for (j, dj), (k, dk) in zip(functional_log_batch(
-                        batch, params, rel_tol=tol, gradient=True), fused):
-                    assert j.log == k.log and np.array_equal(dj, dk)
+            for prof in (p, ZERO, q):
+                w = weighted_lp_pow(prof, 3, 0.5, params)
+                j = functional_log(prof, params)
+                dj = functional_gradient(prof, params)
+                dn = norms_gradient(prof, params)
+                for tol in (1e-30, 1e-3):
+                    assert weighted_lp_pow(prof, 3, 0.5, params, rel_tol=tol) == w
+                    assert functional_log(prof, params, rel_tol=tol).log == j.log
+                    assert np.array_equal(
+                        functional_gradient(prof, params, rel_tol=tol), dj)
+                    assert all(map(np.array_equal,
+                                   norms_gradient(prof, params, rel_tol=tol), dn))
 
     def test_divergent_weight_rejected(self):
         params = make_params((2, 0.0, 0.0))
@@ -309,7 +313,7 @@ class TestGradients:
             p = random_profile(rng, n_nodes=8)
             analytic = functional_gradient(p, params)
             fd = finite_difference_gradient(
-                lambda pr: functional(pr, params, rel_tol=1e-13), p)
+                lambda pr: functional(pr, params), p)
             assert gradient_rel_error(analytic, fd) < 1e-5
 
     def test_norms_gradient_matches_fd(self, cell):
