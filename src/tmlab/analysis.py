@@ -15,12 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import ProblemParams, critical_alpha_beta
 from .errors import (DegenerateInputError, DomainError, PreconditionError)
 from .optimizer import MaximizationResult, OptimizerConfig, maximize_A, maximize_B
-from .profiles import (RadialProfile, dilate, functional, functional_log_batch,
-                       grad_norm_pow, norms, weighted_lp_pow,
-                       weighted_lp_pow_batch)
+from .profiles import (LiveSegments, RadialProfile, checked_nodes, dilate,
+                       functional, functional_log_batch, grad_norm_pow_nodes,
+                       norms, weighted_lp_pow, weighted_lp_pow_batch)
 from .report import ScanTable
 
 _FEAS_TOL = 1e-8
@@ -256,12 +258,6 @@ def _require_orbit_setting(params: ProblemParams):
             "the orbit analysis needs matching weight exponents (gamma = beta)")
 
 
-def _orbit_profile(v: RadialProfile, tau: float) -> RadialProfile:
-    """sqrt(tau) v(sqrt(tau) x), exactly representable."""
-    rt = math.sqrt(tau)
-    return dilate(v, rt).scaled(rt)
-
-
 def orbit_derivative(v: RadialProfile, alpha: float,
                      params: ProblemParams) -> OrbitReport:
     """d/dtau at tau=1 of the functional along the normalized orbit, two ways.
@@ -321,15 +317,18 @@ def orbit_derivative(v: RadialProfile, alpha: float,
     if j >= _ORBIT_J_MAX and quiet < 3:
         saturated = True
 
-    # J(orbit(tau)) at tau = 1 +- h and 1 +- h/2, each profile scaled onto
-    # the unit sphere: the four weight norms in closed form, one pass for the
-    # four J
+    # J(orbit(tau)) at tau = 1 +- h and 1 +- h/2: the four profiles
+    # sqrt(tau) v(sqrt(tau) x) as one (4, m) node batch, each scaled onto the
+    # unit sphere by a Python float; one pass for the norms, one for the J
     at_alpha = replace(params, alpha=alpha)
     steps = (_ORBIT_FD_STEP, _ORBIT_FD_STEP / 2.0)
-    moved = [_orbit_profile(v, 1.0 + sign * h) for h in steps for sign in (1, -1)]
-    weights = weighted_lp_pow_batch(moved, params.dim, params.gamma, at_alpha)
-    on_sphere = [m.scaled((grad_norm_pow(m, at_alpha) + w) ** (-0.5))
-                 for m, w in zip(moved, weights)]
+    roots = [math.sqrt(1.0 + sign * h) for h in steps for sign in (1, -1)]
+    t, u = checked_nodes(np.stack([v.log_radii - math.log(rt) for rt in roots]),
+                         np.stack([rt * v.values for rt in roots]), log=True)
+    live = LiveSegments.of_nodes(t, u)
+    full = grad_norm_pow_nodes(t, u, at_alpha) + weighted_lp_pow_batch(
+        live, params.dim, params.gamma, at_alpha)
+    on_sphere = live.scaled(np.array([f ** (-0.5) for f in full.tolist()]))
     j_vals = [lv.value for lv in functional_log_batch(on_sphere, at_alpha)]
     d_h, d_h2 = ((j_vals[2 * i] - j_vals[2 * i + 1]) / (2.0 * h)
                  for i, h in enumerate(steps))

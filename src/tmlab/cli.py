@@ -82,6 +82,10 @@ _KEYS = {
 }
 
 
+# the commands that write one JSON document: format json, and only json
+_JSON_ONLY = ("eval", "optimize", "orbit")
+
+
 def _kind(kind) -> tuple:
     return _KINDS.get(kind) or (" or ".join(kind), kind.__contains__,
                                 {"choices": kind})
@@ -108,10 +112,13 @@ def _resolve(args: argparse.Namespace) -> dict:
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
-    cfg = {"seed": 0, "format": "csv", "jobs": 1, **cfg}
+    json_only = args.command in _JSON_ONLY
+    cfg = {"seed": 0, "format": "json" if json_only else "csv", "jobs": 1, **cfg}
     # every value checked once, before any computation
     for key, val in cfg.items():
         kind, least, _, null_unsets, _ = _KEYS[key]
+        if key == "format" and json_only:
+            kind = ("json",)
         name, ok, _ = _kind(kind)
         if not (val is None and null_unsets
                 or ok(val) and (least is None or val >= least)):
@@ -215,22 +222,7 @@ def cmd_moser(cfg: dict) -> int:
     n_min, n_max = cfg.get("n_min", 1), cfg.get("n_max", 50)
     if n_min > n_max:
         raise ConfigError(f"need n_min <= n_max, got {n_min} > {n_max}")
-    table = ScanTable(
-        columns=("n", "amplitude", "log_depth", "lam", "grad_pow",
-                 "weight_closed_form", "weight_quadrature", "rel_err",
-                 "plateau_lower_bound_log"),
-        comments=["concentrating-family table",
-                  "weight columns: Moser closed form vs segment closed form"])
-    elems = [moser.build(n, params) for n in range(n_min, n_max + 1)]
-    quadded = weighted_lp_pow_batch([e.profile for e in elems], params.dim,
-                                    params.gamma, params)
-    for elem, w in zip(elems, quadded):
-        closed = elem.weight_pow
-        rel = abs(closed - w) / max(closed, 1e-300)
-        table.append(elem.index, elem.amplitude, elem.log_depth, elem.lam,
-                     grad_norm_pow(elem.profile, params), closed, w, rel,
-                     moser.plateau_lower_bound(elem.index, params, closed).log)
-    _emit_table(table, cfg)
+    _emit_table(moser.family_table(params, n_min, n_max), cfg)
     return 0
 
 

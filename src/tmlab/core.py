@@ -52,7 +52,13 @@ def _validate_dim(dim) -> int:
 
 def sphere_area(dim) -> float:
     """Area of the unit sphere S^{dim-1}: 2 pi^(dim/2) / Gamma(dim/2)."""
-    d = _validate_dim(dim)
+    return _sphere_area(_validate_dim(dim))
+
+
+@functools.cache
+def _sphere_area(d: int) -> float:
+    # keyed by the validated int: a cache in front of the check would answer
+    # sphere_area(2.0) or sphere_area(True) from the entry of 2
     return math.exp(math.log(2.0) + 0.5 * d * math.log(math.pi) - math.lgamma(0.5 * d))
 
 

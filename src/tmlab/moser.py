@@ -16,6 +16,15 @@ the segment closed form of profiles.weighted_lp_pow must reproduce; the
 plateau piece of the exponential functional gives a rigorous lower bound
 that diverges above the critical coefficient and powers the near-critical
 scan.
+
+family_table tabulates elements n_min..n_max batch first: per row only the
+scalar closed forms (the constants, the weight norm power with its
+incomplete-gamma loop, lambda_n and its power N/(N-1)); the cone nodes, as
+one (k, 2) batch, are checked once and give every gradient norm power and
+segment weight in one pass each, and plateau_lower_bound, of which one index
+is the batch of one, takes all rows in one log_phi pass.  The powers of
+lambda_n stay Python floats: numpy's array ** rounds some of them
+differently from float.__pow__, which would move the table's bits.
 """
 
 from __future__ import annotations
@@ -23,10 +32,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .core import (LogValue, ProblemParams, critical_alpha_beta, log_phi,
                    lower_incomplete_gamma, phi, sphere_area)
 from .errors import DomainError
-from .profiles import RadialProfile
+from .profiles import (LiveSegments, RadialProfile, checked_nodes,
+                       grad_norm_pow_nodes, weighted_lp_pow_batch)
 from .report import ScanTable
 
 # the validity-threshold searches give up beyond this index
@@ -112,24 +124,64 @@ def normalized(n: int, params: ProblemParams) -> MoserElement:
     return replace(elem, profile=elem.profile.scaled(elem.lam), normalized=True)
 
 
-def plateau_lower_bound(n: int, params: ProblemParams,
-                        weight_pow: float | None = None) -> LogValue:
+def plateau_lower_bound(n, params: ProblemParams, weight_pow=None):
     """Exact plateau piece of the functional of the normalized element.
 
     (omega/(N-beta)) e^-n Phi_N((n alpha / alpha_crit) lambda_n^(N/(N-1))):
     a rigorous lower bound for the whole functional, valid for every alpha
     including the supercritical range where it diverges with n.  A caller
     that has weight_norm_closed_form(n, params) passes it as weight_pow.
+    For one index a LogValue; for a sequence of indices (and of weight_pow)
+    the array of their logs, the same bits as one by one.
     """
-    nd = params.dim
-    crit = critical_alpha_beta(params)
+    one = np.ndim(n) == 0
+    indices = [n] if one else list(n)
     if weight_pow is None:
-        weight_pow = weight_norm_closed_form(n, params)
-    lam_n = _lam_from_weight(weight_pow, params)
-    arg = (n * params.alpha / crit) * lam_n ** params.exponent
-    log_val = (math.log(sphere_area(nd) / (nd - params.beta)) - n
-               + log_phi(nd, arg))
-    return LogValue(log_val)
+        weights = [weight_norm_closed_form(k, params) for k in indices]
+    else:
+        weights = [weight_pow] if one else list(weight_pow)
+    # lambda_n^(N/(N-1)) by float.__pow__, row by row (see the module notes)
+    lam_pows = np.array([_lam_from_weight(w, params) ** params.exponent
+                         for w in weights])
+    index = np.array(indices, dtype=float)
+    with np.errstate(over="ignore"):  # inf, as in float arithmetic
+        arg = index * params.alpha / critical_alpha_beta(params) * lam_pows
+    nd = params.dim
+    logs = (math.log(sphere_area(nd) / (nd - params.beta)) - index
+            + log_phi(nd, arg))
+    return LogValue(float(logs[0])) if one else logs
+
+
+def family_table(params: ProblemParams, n_min: int, n_max: int) -> ScanTable:
+    """The elements n_min..n_max, one row each, from one pass per column.
+
+    Each row's constants, closed-form weight norm power and lambda_n are
+    Python floats; the cone nodes are checked once as a (k, 2) batch, which
+    gives the gradient norm powers, the segment closed form of the weight
+    norm (against the Moser closed form: rel_err) and the plateau bounds.
+    An index too deep for the closed forms is refused, naming the first.
+    """
+    indices = range(n_min, n_max + 1)
+    closed = [weight_norm_closed_form(n, params) for n in indices]
+    amplitude, depth = zip(*(_constants(n, params) for n in indices))
+    lam = [_lam_from_weight(w, params) for w in closed]
+    b = np.array(depth)[:, None]  # the cones' nodes: t = (-b, 0), u = (A b, 0)
+    t, u = checked_nodes(b * [-1.0, 0.0],
+                         np.array(amplitude)[:, None] * b * [1.0, 0.0], log=True)
+    quadded = np.array(weighted_lp_pow_batch(
+        LiveSegments.of_nodes(t, u), params.dim, params.gamma, params))
+    closed_arr = np.array(closed)
+    rel = np.abs(closed_arr - quadded) / np.maximum(closed_arr, 1e-300)
+    return ScanTable(
+        columns=("n", "amplitude", "log_depth", "lam", "grad_pow",
+                 "weight_closed_form", "weight_quadrature", "rel_err",
+                 "plateau_lower_bound_log"),
+        rows=list(zip(indices, amplitude, depth, lam,
+                      grad_norm_pow_nodes(t, u, params).tolist(), closed,
+                      quadded.tolist(), rel.tolist(),
+                      plateau_lower_bound(indices, params, closed).tolist())),
+        comments=["concentrating-family table",
+                  "weight columns: Moser closed form vs segment closed form"])
 
 
 def select_index(alpha: float, crit: float) -> int:

@@ -151,10 +151,12 @@ def _log_radii(radii):
     return np.log(radii)
 
 
-def checked_nodes(radii, values):
+def checked_nodes(radii, values, log=False):
     """(t, u) = (log radii, values) of (k, m) node arrays, whose every row
-    RadialProfile.from_radii accepts; it raises ValidationError otherwise."""
-    t, u = _log_radii(radii), np.atleast_1d(np.asarray(values, dtype=float))
+    RadialProfile.from_radii accepts (with log, radii holds t and every row
+    RadialProfile accepts); it raises ValidationError otherwise."""
+    t = np.asarray(radii, dtype=float) if log else _log_radii(radii)
+    u = np.atleast_1d(np.asarray(values, dtype=float))
     _check_nodes(t, u)
     return t, u
 

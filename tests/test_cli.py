@@ -325,6 +325,33 @@ class TestConfigHandling:
         assert capsys.readouterr().err == ("error: alpha_ratios must be a "
                                            "non-empty list of numbers, got []\n")
 
+    # eval, optimize and orbit write JSON whatever the format: they echo
+    # "json" by default and refuse csv, from a flag or from the file
+    @pytest.mark.parametrize("command, extra", [
+        ("eval", ["--moser-index", "3"]),
+        ("optimize", ["--mode", "A"]),
+        ("orbit", ["--moser-index", "3"]),
+    ])
+    def test_json_only_commands_refuse_csv(self, command, extra, tmp_path,
+                                           capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"optimizer": LIGHT_OPT}))
+        argv = [command, "--config", str(cfgfile), "--dim", "2",
+                "--alpha-ratio", "0.5", "--beta", "0", "--gamma", "0", *extra]
+        rc, out = invoke(tmp_path, *argv)
+        assert rc == 0
+        assert json.loads(out.read_text())["config"]["format"] == "json"
+        rc, again = invoke(tmp_path, *argv, "--format", "json",
+                           output=tmp_path / "again.txt")
+        assert rc == 0 and again.read_bytes() == out.read_bytes()
+        refused = tmp_path / "refused.txt"
+        assert run([*argv, "--format", "csv", "--output", str(refused)]) == 2
+        cfgfile.write_text(json.dumps({"optimizer": LIGHT_OPT, "format": "csv"}))
+        assert run([*argv, "--output", str(refused)]) == 2
+        assert capsys.readouterr().err == \
+            "error: format must be json, got 'csv'\n" * 2
+        assert not refused.exists()
+
     def test_moser_index_zero_exit_3(self, capsys):
         cell = ["--dim", "2", "--alpha-ratio", "0.5", "--beta", "0",
                 "--gamma", "0"]
@@ -430,7 +457,7 @@ class TestWrongTypedConfig:
             if rc:
                 return rc, err
             out = json.loads(out)
-            echo = {"seed": 0, "format": "csv", "jobs": 1, **cfg}
+            echo = {"seed": 0, "format": "json", "jobs": 1, **cfg}
             echo.pop("output", None)
             assert out.pop("config") == echo
             return rc, out

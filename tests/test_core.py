@@ -26,6 +26,16 @@ class TestSphereArea:
         with pytest.raises(InvalidDimensionError):
             sphere_area(2.0)
 
+    def test_cache_keeps_the_dimension_check(self):
+        # the area is cached per validated dimension: the entry of 2 must not
+        # answer 2.0 (== 2) or True (== 1), nor make 1 valid
+        first = sphere_area(2)
+        assert sphere_area(np.int64(2)) == first
+        for bad in (2.0, True, 1):
+            with pytest.raises(InvalidDimensionError):
+                sphere_area(bad)
+        assert sphere_area(2) == first
+
 
 class TestCriticalAlpha:
     def test_dimension_two(self):

@@ -8,11 +8,13 @@ import pytest
 from scipy.integrate import quad
 
 from tmlab import (critical_alpha_beta, functional, functional_log,
-                   grad_norm_pow, norms, sphere_area, weighted_lp_pow)
+                   grad_norm_pow, log_phi, norms, sphere_area, weighted_lp_pow)
+from tmlab.cli import run
 from tmlab.errors import DomainError
-from tmlab.moser import (asymptotic_lower_scan, build, normalized,
-                         plateau_lower_bound, select_index,
+from tmlab.moser import (asymptotic_lower_scan, build, family_table,
+                         normalized, plateau_lower_bound, select_index,
                          weight_norm_closed_form, weight_norm_limit)
+from tmlab.profiles import weighted_lp_pow_batch
 
 from conftest import MATRIX, assert_rel_close, make_params, mp_segment_functional
 
@@ -272,3 +274,96 @@ class TestDeepElementsN3:
             bound = plateau_lower_bound(n, params).log
             assert log_j >= bound, n
             assert abs(log_j - bound - math.log(params.dim)) <= 10.0 / n, n
+
+
+def _reference_plateau_log(n, params, weight_pow):
+    """plateau_lower_bound(n, params, weight_pow).log in scalar arithmetic,
+    as computed before the bound took a batch of indices."""
+    nd = params.dim
+    lam_n = (1.0 + weight_pow) ** (-1.0 / nd)
+    arg = (n * params.alpha / critical_alpha_beta(params)) * lam_n ** params.exponent
+    return (math.log(sphere_area(nd) / (nd - params.beta)) - n
+            + log_phi(nd, arg))
+
+
+def _reference_rows(params, n_min, n_max):
+    """The family table element by element, as the per-row loop before
+    family_table: build, then grad_norm_pow, then the plateau bound."""
+    elems = [build(n, params) for n in range(n_min, n_max + 1)]
+    quadded = weighted_lp_pow_batch([e.profile for e in elems], params.dim,
+                                    params.gamma, params)
+    rows = []
+    for elem, w in zip(elems, quadded):
+        closed = elem.weight_pow
+        rel = abs(closed - w) / max(closed, 1e-300)
+        rows.append((elem.index, elem.amplitude, elem.log_depth, elem.lam,
+                     grad_norm_pow(elem.profile, params), closed, w, rel,
+                     _reference_plateau_log(elem.index, params, closed)))
+    return rows
+
+
+def _deepest_index(params):
+    """The largest index build accepts, by bisection."""
+    lo, hi = 1, 10 ** 400
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            build(mid, params)
+            lo = mid
+        except DomainError:
+            hi = mid
+    return lo
+
+
+class TestFamilyTable:
+    """family_table gives every column of the per-row loop bit for bit."""
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.0, 1.2])
+    @pytest.mark.parametrize("cell", MATRIX + [(2, 1.9, 0.0)], ids=str)
+    def test_rows_match_per_row_loop(self, cell, ratio):
+        params = make_params(cell, alpha_ratio=ratio)
+        for n_min, n_max in ((1, 120), (7, 45), (13, 13)):
+            table = family_table(params, n_min, n_max)
+            want = _reference_rows(params, n_min, n_max)
+            assert table.rows == want, (n_min, n_max)
+            for row in table.rows:
+                assert type(row[0]) is int
+                assert all(type(x) is float for x in row[1:]), row
+
+    @pytest.mark.parametrize("cell", MATRIX + [(2, 1.9, 0.0)], ids=str)
+    def test_scalar_bound_is_batch_of_one(self, cell):
+        for ratio in (0.5, 1.0, 1.2):
+            params = make_params(cell, alpha_ratio=ratio)
+            indices = [1, 2, 3, 10, 57, 200, 10 ** 6]
+            weights = [weight_norm_closed_form(n, params) for n in indices]
+            batch = plateau_lower_bound(indices, params, weights)
+            assert np.array_equal(batch, plateau_lower_bound(indices, params))
+            for n, w, log in zip(indices, weights, batch.tolist()):
+                one = plateau_lower_bound(n, params)
+                assert type(one.log) is float
+                assert one.log == log == plateau_lower_bound(n, params, w).log
+                assert log == _reference_plateau_log(n, params, w), n
+
+    @pytest.mark.parametrize("cell", [(4, 2.0, 1.0), (2, 1.9, 0.0)], ids=str)
+    def test_too_deep_index_exit_3_naming_first(self, cell, tmp_path, capsys):
+        params = make_params(cell)
+        deepest = _deepest_index(params)
+        n_min, n_max = deepest - 2, deepest + 2
+        # the per-row loop refuses the first index past the deepest
+        with pytest.raises(DomainError) as first:
+            for n in range(n_min, n_max + 1):
+                build(n, params)
+        assert f"index n={deepest + 1} is too large" in str(first.value)
+        with pytest.raises(DomainError, match=str(deepest + 1)):
+            family_table(params, n_min, n_max)
+        dim, beta, gamma = cell
+        out = tmp_path / "out.csv"
+        assert run(["moser", "--dim", str(dim), "--beta", str(beta),
+                    "--gamma", str(gamma), "--alpha-ratio", "0.5",
+                    "--n-min", str(n_min), "--n-max", str(n_max),
+                    "--output", str(out)]) == 3
+        assert capsys.readouterr().err == f"error: {first.value}\n"
+        assert not out.exists()
+        # up to the deepest index the table is built
+        assert family_table(params, n_min, deepest).rows \
+            == _reference_rows(params, n_min, deepest)
