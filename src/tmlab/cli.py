@@ -23,9 +23,9 @@ from .core import ProblemParams, critical_alpha_beta
 from .errors import (DegenerateInputError, DivergentWeightError, DomainError,
                      PreconditionError, ValidationError)
 from .optimizer import OptimizerConfig, _is_int, maximize_A, maximize_B
-from .profiles import (LiveSegments, RadialProfile, functional_log_batch,
-                       grad_norm_pow, norms, random_profile,
-                       weighted_lp_pow_batch)
+from .profiles import (LiveSegments, RadialProfile, checked_nodes,
+                       functional_log_batch, grad_norm_pow, grad_norm_pow_nodes,
+                       norms, random_nodes, weighted_lp_pow_batch)
 from .report import ScanTable
 
 
@@ -275,28 +275,29 @@ def cmd_orbit(cfg: dict) -> int:
 
 def cmd_transform_check(cfg: dict) -> int:
     params = _params_from(cfg)
-    rng = np.random.default_rng(cfg["seed"])
     spec = transform.TransformSpec.from_params(params)
-    table = ScanTable(
+    n = params.dim
+    # (count, 10) node arrays, each batch checked once as RadialProfile would
+    t, u = random_nodes(np.random.default_rng(cfg["seed"]), cfg.get("count", 20))
+    t_v, u_v = checked_nodes(*transform.push_nodes(t, u, spec), log=True)
+    live_u, live_v = LiveSegments.of_nodes(t, u), LiveSegments.of_nodes(t_v, u_v)
+    w_u = np.array(weighted_lp_pow_batch(live_u, n, params.gamma, params))
+    w_v = np.array(weighted_lp_pow_batch(live_v, n, 0.0, params))
+    resids = transform.verify_integral_identity_batch(live_u, live_v, params)
+    g_u, g_v = grad_norm_pow_nodes(t, u, params), grad_norm_pow_nodes(t_v, u_v, params)
+    t_b, u_b = checked_nodes(*transform.pull_nodes(t_v, u_v, spec), log=True)
+    r, r_b = np.exp(t), np.exp(t_b)
+    roundtrip = np.maximum(np.max(np.abs(r_b - r) / r, axis=-1),
+                           np.max(np.abs(u_b - u) / np.maximum(u, 1e-300), axis=-1))
+    _emit_table(ScanTable(
         columns=("index", "grad_rel_err", "weight_map_rel_err",
                  "identity_residual", "roundtrip_rel_err"),
-        comments=["radial change-of-functions checks on seeded random profiles"])
-    n = params.dim
-    us = [random_profile(rng) for _ in range(cfg.get("count", 20))]
-    vs = [transform.push_profile(u, spec) for u in us]
-    w_us = weighted_lp_pow_batch(us, n, params.gamma, params)
-    w_vs = weighted_lp_pow_batch(vs, n, 0.0, params)
-    resids = transform.verify_integral_identity_batch(us, vs, params)
-    for i, (u, v, w_u, w_v, resid) in enumerate(zip(us, vs, w_us, w_vs, resids)):
-        g_u, g_v = grad_norm_pow(u, params), grad_norm_pow(v, params)
-        grad_err = abs(g_u - g_v) / max(g_u, 1e-300)
-        weight_err = abs(w_u - w_v) / max(w_u, 1e-300)
-        back = transform.pull_profile(v, spec)
-        rt = max(float(np.max(np.abs(back.radii - u.radii) / u.radii)),
-                 float(np.max(np.abs(back.values - u.values)
-                              / np.maximum(u.values, 1e-300))))
-        table.append(i, grad_err, weight_err, resid, rt)
-    _emit_table(table, cfg)
+        rows=list(zip(range(len(resids)),
+                      (np.abs(g_u - g_v) / np.maximum(g_u, 1e-300)).tolist(),
+                      (np.abs(w_u - w_v) / np.maximum(w_u, 1e-300)).tolist(),
+                      resids, roundtrip.tolist())),
+        comments=["radial change-of-functions checks on seeded random profiles"]),
+        cfg)
     return 0
 
 

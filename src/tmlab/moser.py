@@ -10,16 +10,20 @@ with A_n = sphere_area^(-1/N) (n/(N-beta))^(-1/N) and b_n = n/(N-beta), chosen
 so that (A_n b_n)^(N/(N-1)) = n / critical_alpha_beta and the gradient norm
 power is exactly 1.  Profiles are stored in t, so an element can be built
 however far its plateau radius e^-b_n lies below the smallest double; only an
-index whose depth overflows the closed forms is refused.  The weighted L^N
-norm power has the closed form I + II with an incomplete-gamma tail, which
-the segment closed form of profiles.weighted_lp_pow must reproduce; the
-plateau piece of the exponential functional gives a rigorous lower bound
-that diverges above the critical coefficient and powers the near-critical
-scan.
+index whose depth overflows the closed forms is refused, and normalized also
+refuses one whose plateau exponent, about n alpha/alpha_crit, doubled
+overflows.  Below that every closed form is finite: the products that
+overflow first (omega (A_n b_n)^N, n alpha) are taken in logs there.  The
+weighted L^N norm power has the closed form I + II with an incomplete-gamma
+tail, which the segment closed form of profiles.weighted_lp_pow must
+reproduce; the plateau piece of the exponential functional gives a rigorous
+lower bound that diverges above the critical coefficient and powers the
+near-critical scan.
 
 family_table tabulates elements n_min..n_max batch first: per row only the
-scalar closed forms (the constants, the weight norm power with its
-incomplete-gamma loop, lambda_n and its power N/(N-1)); the cone nodes, as
+scalar closed forms (the constants and the weight norm power with its
+incomplete-gamma loop, from one _element call, and lambda_n and its power
+N/(N-1)); the cone nodes, as
 one (k, 2) batch, are checked once and give every gradient norm power and
 segment weight in one pass each, and plateau_lower_bound, of which one index
 is the batch of one, takes all rows in one log_phi pass.  The powers of
@@ -58,30 +62,40 @@ class MoserElement:
     normalized: bool = False
 
 
-def _constants(n: int, params: ProblemParams):
+def _element(n: int, params: ProblemParams):
+    """A_n, b_n and the closed-form weight norm power of the n-th element."""
     if n < 1 or not isinstance(n, int):
         raise DomainError(f"index must be a positive integer, got {n!r}")
-    nd = params.dim
+    nd, g = params.dim, params.gamma
     # the closed forms take (N-gamma) b_n and b_n^(N-1) = omega (A_n b_n)^N
     try:
         b_n = n / (nd - params.beta)
-        finite = (math.isfinite((nd - params.gamma) * b_n)
+        finite = (math.isfinite((nd - g) * b_n)
                   and math.isfinite(b_n ** (nd - 1)))
     except OverflowError:
         finite = False
     if not finite:
         raise DomainError(
             f"index n={n} is too large for N={nd}, beta={params.beta}, "
-            f"gamma={params.gamma}: the depth n/(N-beta) overflows the "
+            f"gamma={g}: the depth n/(N-beta) overflows the "
             "element's closed forms in double precision")
-    a_n = (1.0 / sphere_area(nd)) ** (1.0 / nd) * b_n ** (-1.0 / nd)
-    return a_n, b_n
+    omega = sphere_area(nd)
+    a_n = (1.0 / omega) ** (1.0 / nd) * b_n ** (-1.0 / nd)
+    c = nd - g
+    try:
+        term_i = omega * (a_n * b_n) ** nd * math.exp(-c * b_n) / c
+    except OverflowError:
+        term_i = math.inf
+    if not math.isfinite(term_i):  # omega (A_n b_n)^N overflowed, e^(-c b_n) is 0
+        term_i = math.exp(math.log(omega) + nd * math.log(a_n * b_n) - c * b_n) / c
+    term_ii = ((nd - params.beta) / n) * c ** (-(nd + 1.0)) \
+        * lower_incomplete_gamma(nd + 1.0, c * b_n)
+    return a_n, b_n, term_i + term_ii
 
 
 def build(n: int, params: ProblemParams) -> MoserElement:
     """The n-th element, un-normalized: the cone on t = log r in [-b_n, 0]."""
-    a_n, b_n = _constants(n, params)
-    w = weight_norm_closed_form(n, params)
+    a_n, b_n, w = _element(n, params)
     profile = RadialProfile(log_radii=[-b_n, 0.0], values=[a_n * b_n, 0.0])
     return MoserElement(index=n, amplitude=a_n, log_depth=b_n,
                         lam=_lam_from_weight(w, params), weight_pow=w,
@@ -96,15 +110,10 @@ def weight_norm_closed_form(n: int, params: ProblemParams) -> float:
 
         I  = omega (A_n b_n)^N e^(-(N-gamma) b_n) / (N - gamma)
         II = ((N-beta)/n) (N-gamma)^-(N+1) gamma_inc(N+1, (N-gamma) b_n)
+
+    I is taken in log scale where omega (A_n b_n)^N overflows.
     """
-    a_n, b_n = _constants(n, params)
-    nd, g = params.dim, params.gamma
-    omega = sphere_area(nd)
-    c = nd - g
-    term_i = omega * (a_n * b_n) ** nd * math.exp(-c * b_n) / c
-    term_ii = ((nd - params.beta) / n) * c ** (-(nd + 1.0)) \
-        * lower_incomplete_gamma(nd + 1.0, c * b_n)
-    return term_i + term_ii
+    return _element(n, params)[2]
 
 
 def weight_norm_limit(params: ProblemParams) -> float:
@@ -119,9 +128,24 @@ def _lam_from_weight(w: float, params: ProblemParams) -> float:
 
 
 def normalized(n: int, params: ProblemParams) -> MoserElement:
-    """The n-th element scaled by lambda_n: full norm power exactly 1."""
+    """The n-th element scaled by lambda_n: full norm power exactly 1.
+
+    An index is refused where twice its plateau exponent x = alpha u_0^q,
+    q = N/(N-1), about 2 n alpha/alpha_crit, overflows: the slope and the
+    curvature of J's exponent on the cone are that large.  Both are taken
+    in the two roundings dawson.segment_functional takes at N = 2.
+    """
     elem = build(n, params)
-    return replace(elem, profile=elem.profile.scaled(elem.lam), normalized=True)
+    profile = elem.profile.scaled(elem.lam)
+    u0 = float(profile.values[0])
+    au = params.alpha * u0 ** (params.exponent - 1.0)
+    if not (math.isfinite(2.0 * u0 * au) and math.isfinite(2.0 * (au * u0))):
+        raise DomainError(
+            f"index n={n} is too large for N={params.dim}, beta={params.beta}, "
+            f"gamma={params.gamma} at alpha={params.alpha!r}: twice the plateau "
+            "exponent alpha u_0^(N/(N-1)), about 2 n alpha/alpha_crit, "
+            "overflows in double precision")
+    return replace(elem, profile=profile, normalized=True)
 
 
 def plateau_lower_bound(n, params: ProblemParams, weight_pow=None):
@@ -147,8 +171,13 @@ def plateau_lower_bound(n, params: ProblemParams, weight_pow=None):
     with np.errstate(over="ignore"):  # inf, as in float arithmetic
         arg = index * params.alpha / critical_alpha_beta(params) * lam_pows
     nd = params.dim
-    logs = (math.log(sphere_area(nd) / (nd - params.beta)) - index
-            + log_phi(nd, arg))
+    head = math.log(sphere_area(nd) / (nd - params.beta))
+    logs = head - index + log_phi(nd, arg)
+    deep = np.isinf(arg)
+    if deep.any():  # n alpha overflowed: there log Phi_N(x) = x, and
+        # x - n = n (r lambda^q - 1), r = alpha/alpha_crit
+        ratio = params.alpha / critical_alpha_beta(params)
+        logs[deep] = head + index[deep] * (ratio * lam_pows[deep] - 1.0)
     return LogValue(float(logs[0])) if one else logs
 
 
@@ -162,8 +191,7 @@ def family_table(params: ProblemParams, n_min: int, n_max: int) -> ScanTable:
     An index too deep for the closed forms is refused, naming the first.
     """
     indices = range(n_min, n_max + 1)
-    closed = [weight_norm_closed_form(n, params) for n in indices]
-    amplitude, depth = zip(*(_constants(n, params) for n in indices))
+    amplitude, depth, closed = zip(*(_element(n, params) for n in indices))
     lam = [_lam_from_weight(w, params) for w in closed]
     b = np.array(depth)[:, None]  # the cones' nodes: t = (-b, 0), u = (A b, 0)
     t, u = checked_nodes(b * [-1.0, 0.0],

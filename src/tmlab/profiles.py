@@ -574,17 +574,31 @@ def at_normalize(profile: RadialProfile, params: ProblemParams) -> RadialProfile
     return dilate(profile, lam)
 
 
-def random_profile(rng: np.random.Generator, n_nodes: int = 10,
-                   vmax: float = 2.0) -> RadialProfile:
-    """Seeded random profile: strictly increasing log grid, zero tail.
+def random_nodes(rng: np.random.Generator, count: int, n_nodes: int = 10,
+                 vmax: float = 2.0):
+    """(t, u) node arrays of count seeded random profiles, checked (see
+    checked_nodes): strictly increasing log grids, zero tails.
 
-    The n_nodes - 1 gaps in t = log r are uniform on [0.15, 1.2], stretched
-    to span [t_lo, t_hi] = _RANDOM_T_SPAN; the node values are uniform on
-    [0, vmax] and the last is set to 0.
+    Each row's n_nodes - 1 gaps in t = log r are uniform on [0.15, 1.2],
+    stretched to span [t_lo, t_hi] = _RANDOM_T_SPAN; its node values are
+    uniform on [0, vmax] and the last is set to 0.  Each row draws its gaps,
+    then its values, by one rng.uniform call each, so a row's bits do not
+    depend on count: row 0 of count draws is random_profile's.
     """
     t_lo, t_hi = _RANDOM_T_SPAN
-    gaps = rng.uniform(0.15, 1.2, size=n_nodes - 1)
-    t = t_lo + (t_hi - t_lo) * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
-    values = rng.uniform(0.0, vmax, size=n_nodes)
-    values[-1] = 0.0
-    return RadialProfile(log_radii=t, values=values)
+    gaps, values = np.empty((count, n_nodes - 1)), np.empty((count, n_nodes))
+    for row_gaps, row_values in zip(gaps, values):
+        row_gaps[:] = rng.uniform(0.15, 1.2, size=n_nodes - 1)
+        row_values[:] = rng.uniform(0.0, vmax, size=n_nodes)
+    spans = np.concatenate([np.zeros((count, 1)), np.cumsum(gaps, axis=-1)],
+                           axis=-1)
+    t = t_lo + (t_hi - t_lo) * spans / np.add.reduce(gaps, axis=-1)[:, None]
+    values[:, -1] = 0.0
+    return checked_nodes(t, values, log=True)
+
+
+def random_profile(rng: np.random.Generator, n_nodes: int = 10,
+                   vmax: float = 2.0) -> RadialProfile:
+    """The seeded random profile of random_nodes' batch of one."""
+    t, u = random_nodes(rng, 1, n_nodes, vmax)
+    return RadialProfile(log_radii=t[0], values=u[0])

@@ -7,6 +7,10 @@ log of the radial map is affine in log r, the piecewise-log-affine profile class
 is closed under the transform: nodes map to nodes, no resampling.  On radial
 profiles the gradient norm is preserved exactly and the weighted L^N norm
 becomes the plain L^N norm.
+
+push_nodes and pull_nodes are the map and its inverse on node arrays t = log r
+and u of any shape (..., m), so a (k, m) batch of profiles is pushed in one
+pass; push_profile and pull_profile are their one-profile forms.
 """
 
 from __future__ import annotations
@@ -63,24 +67,34 @@ class TransformSpec:
         return alpha / self.shrink
 
 
-def push_profile(u: RadialProfile, spec: TransformSpec) -> RadialProfile:
-    """The transformed profile v with v(r) = amplitude * u(kappa * r^p).
+def push_nodes(t, u, spec: TransformSpec):
+    """The pushed nodes (t', u') of nodes t = log r and u: (..., m) arrays.
 
     In t = log r the radial map is t -> log(kappa) + p t, p = N/(N - gamma),
-    so v's nodes sit at the preimages (t - log(kappa))/p of u's and its values
-    are u's times the amplitude factor; segments stay affine in t, so the
-    mapping is exact.
+    so the pushed nodes sit at the preimages (t - log(kappa))/p and their
+    values are u's times the amplitude factor; segments stay affine in t, so
+    the mapping is exact.
     """
-    return RadialProfile(
-        log_radii=(u.log_radii - spec.log_radius_prefactor) / spec.radius_power,
-        values=spec.amplitude_factor * u.values)
+    return ((t - spec.log_radius_prefactor) / spec.radius_power,
+            spec.amplitude_factor * u)
+
+
+def pull_nodes(t, u, spec: TransformSpec):
+    """Exact inverse of push_nodes: t -> log(kappa) + p t, u / amplitude."""
+    return (spec.log_radius_prefactor + spec.radius_power * t,
+            u / spec.amplitude_factor)
+
+
+def push_profile(u: RadialProfile, spec: TransformSpec) -> RadialProfile:
+    """The transformed profile v with v(r) = amplitude * u(kappa * r^p)."""
+    t, values = push_nodes(u.log_radii, u.values, spec)
+    return RadialProfile(log_radii=t, values=values)
 
 
 def pull_profile(v: RadialProfile, spec: TransformSpec) -> RadialProfile:
-    """Exact inverse of push_profile: t -> log(kappa) + p t."""
-    return RadialProfile(
-        log_radii=spec.log_radius_prefactor + spec.radius_power * v.log_radii,
-        values=v.values / spec.amplitude_factor)
+    """Exact inverse of push_profile."""
+    t, values = pull_nodes(v.log_radii, v.values, spec)
+    return RadialProfile(log_radii=t, values=values)
 
 
 def transformed_params(params: ProblemParams) -> ProblemParams:

@@ -10,6 +10,7 @@ import math
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 import tmlab.cli  # imports every module that TARGETS names
@@ -57,14 +58,18 @@ def test_install_traces_and_uninstall_restores(tracing, tmp_path):
     try:
         # looked up at call time, so the traced cli.run is the one called
         assert tmlab.cli.run(argv) == 0
+        u = tmlab.profiles.random_profile(np.random.default_rng(1))
+        spec = tmlab.transform.TransformSpec(dim=3, gamma=0.5)
+        tmlab.transform.pull_profile(tmlab.transform.push_profile(u, spec), spec)
     finally:
         uninstall()
     assert _tmlab_bindings() == before
     metrics = tracer.metrics()
     assert metrics["cli.run.calls"] == 1
-    # each random profile is pushed once and pulled back once
-    assert metrics["transform.push_profile.calls"] == 3
-    assert metrics["transform.pull_profile.calls"] == 3
+    # transform-check pushes and pulls back its (count, m) node arrays with
+    # push_nodes and pull_nodes: the one-profile maps are called only above
+    assert metrics["transform.push_profile.calls"] == 1
+    assert metrics["transform.pull_profile.calls"] == 1
     # J at N = 3 comes from quadrature.segment_functional, one fixed pass
     # that TARGETS does not name: the adaptive integrator is never called
     assert metrics["quadrature.integrate_segments.calls"] == 0

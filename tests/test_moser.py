@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 import warnings
@@ -367,3 +368,66 @@ class TestFamilyTable:
         # up to the deepest index the table is built
         assert family_table(params, n_min, deepest).rows \
             == _reference_rows(params, n_min, deepest)
+
+
+def _numbers(value):
+    """Every number in a parsed JSON document."""
+    if isinstance(value, dict):
+        return [x for v in value.values() for x in _numbers(v)]
+    if isinstance(value, list):
+        return [x for v in value for x in _numbers(v)]
+    return [value] if isinstance(value, float) else []
+
+
+class TestDeepestIndex:
+    """Up to the deepest index build accepts, moser and eval give finite
+    numbers or exit 3 naming the index, never a traceback or a NaN."""
+
+    @pytest.mark.parametrize("cell", MATRIX, ids=str)
+    def test_window_below_deepest_index(self, cell, tmp_path, capsys):
+        deepest = _deepest_index(make_params(cell))
+        window = [deepest] + [deepest - deepest // d for d in (
+            10 ** 15, 10 ** 12, 10 ** 9, 10 ** 6, 10 ** 3, 10, 2)]
+        out = tmp_path / "out.json"
+        for ratio in (0.5, 1.0, 1.2):
+            args = ["--dim", str(cell[0]), "--beta", str(cell[1]),
+                    "--gamma", str(cell[2]), "--alpha-ratio", str(ratio),
+                    "--format", "json", "--output", str(out)]
+            for n in window:
+                assert run(["moser", *args, "--n-min", str(n),
+                            "--n-max", str(n)]) == 0, (ratio, n)
+                (row,) = json.loads(out.read_text())["rows"]
+                assert row[0] == n
+                assert all(map(math.isfinite, row[1:])), (ratio, n, row)
+                rc = run(["eval", *args, "--moser-index", str(n)])
+                err = capsys.readouterr().err
+                if rc == 3:
+                    assert err.startswith(f"error: index n={n} is too large"), err
+                    continue
+                assert rc == 0, (ratio, n, err)
+                doc = json.loads(out.read_text())
+                assert all(map(math.isfinite, _numbers(doc["norms"]))), doc
+                assert math.isfinite(doc["functional"]["log"]), (ratio, n, doc)
+            assert run(["moser", *args, "--n-min", str(deepest + 1),
+                        "--n-max", str(deepest + 1)]) == 3
+            assert f"index n={deepest + 1} is too large" in capsys.readouterr().err
+
+    def test_weight_norm_past_overflow_of_its_first_term(self):
+        # omega (A_n b_n)^3 overflows at the deepest index of (3, 1, 0.5);
+        # term I is then 0, and the weight is term II alone
+        params = make_params((3, 1.0, 0.5))
+        n = _deepest_index(params)
+        w = weight_norm_closed_form(n, params)
+        c = 2.5
+        assert_rel_close(w, float(mp.mpf(2) / n * mp.mpf(c) ** -4 * mp.gamma(4)),
+                         1e-13)
+
+    @pytest.mark.parametrize("ratio", [0.5, 1.2])
+    def test_plateau_bound_where_n_alpha_overflows(self, ratio):
+        # n alpha/alpha_crit overflows in its first product at n = 10^308;
+        # the bound's log is n (r lambda^q - 1) to rounding, lambda^q = 1
+        params = make_params((2, 0.0, 0.0), alpha_ratio=ratio)
+        n = 10 ** 308 if ratio < 1.0 else 17 * 10 ** 307
+        log = plateau_lower_bound(n, params).log
+        assert math.isfinite(log)
+        assert_rel_close(log, float(n * (mp.mpf(ratio) - 1)), 1e-12)

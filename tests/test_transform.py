@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,13 +6,16 @@ import pytest
 
 from tmlab import (ProblemParams, RadialProfile, critical_alpha_beta,
                    functional, grad_norm_pow, norms, weighted_lp_pow)
-from tmlab.errors import ValidationError
+from tmlab.cli import run
+from tmlab.errors import DomainError, ValidationError
+from tmlab.profiles import random_nodes, weighted_lp_pow_batch
 from tmlab.transform import (TransformSpec, integral_identity_factor,
-                             pull_profile, push_profile, transformed_params,
+                             pull_nodes, pull_profile, push_nodes,
+                             push_profile, transformed_params,
                              verify_integral_identity,
                              verify_integral_identity_batch)
 
-from conftest import assert_rel_close, make_params, random_profile
+from conftest import MATRIX, assert_rel_close, make_params, random_profile
 
 
 def spec_for(cell):
@@ -217,3 +221,112 @@ class TestIntegralIdentity:
             * oracle_functional(v, transformed_params(params))
         assert_rel_close(lhs, rhs, 1e-8)
         assert_rel_close(functional(p, params), lhs, 1e-8)
+
+
+def _reference_random_profile(rng, n_nodes=10, vmax=2.0):
+    """random_profile as drawn before random_nodes: one profile at a time."""
+    t_lo, t_hi = -7.0, 4.5
+    gaps = rng.uniform(0.15, 1.2, size=n_nodes - 1)
+    t = t_lo + (t_hi - t_lo) * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
+    values = rng.uniform(0.0, vmax, size=n_nodes)
+    values[-1] = 0.0
+    return RadialProfile(log_radii=t, values=values)
+
+
+def _reference_rows(params, seed, count):
+    """transform-check's rows by the per-profile loop the command ran before
+    it took node arrays: three profiles and two grad_norm_pow calls a row."""
+    rng = np.random.default_rng(seed)
+    spec = TransformSpec.from_params(params)
+    n = params.dim
+    us = [_reference_random_profile(rng) for _ in range(count)]
+    vs = [RadialProfile(
+        log_radii=(u.log_radii - spec.log_radius_prefactor) / spec.radius_power,
+        values=spec.amplitude_factor * u.values) for u in us]
+    w_us = weighted_lp_pow_batch(us, n, params.gamma, params)
+    w_vs = weighted_lp_pow_batch(vs, n, 0.0, params)
+    resids = verify_integral_identity_batch(us, vs, params)
+    rows = []
+    for i, (u, v, w_u, w_v, resid) in enumerate(zip(us, vs, w_us, w_vs, resids)):
+        g_u, g_v = grad_norm_pow(u, params), grad_norm_pow(v, params)
+        grad_err = abs(g_u - g_v) / max(g_u, 1e-300)
+        weight_err = abs(w_u - w_v) / max(w_u, 1e-300)
+        back = RadialProfile(
+            log_radii=spec.log_radius_prefactor + spec.radius_power * v.log_radii,
+            values=v.values / spec.amplitude_factor)
+        rt = max(float(np.max(np.abs(back.radii - u.radii) / u.radii)),
+                 float(np.max(np.abs(back.values - u.values)
+                              / np.maximum(u.values, 1e-300))))
+        rows.append([i, grad_err, weight_err, resid, rt])
+    return rows
+
+
+class TestBatchedCommand:
+    """transform-check on node arrays gives the per-profile loop's rows bit
+    for bit."""
+
+    @pytest.mark.parametrize("cell", MATRIX + [(2, 1.9, 0.0), (3, 2.5, 2.9)],
+                             ids=str)
+    def test_rows_match_per_profile_loop(self, cell, tmp_path, capsys):
+        dim, beta, gamma = cell
+        out = tmp_path / "out"
+        args = ["transform-check", "--dim", str(dim), "--beta", str(beta),
+                "--gamma", str(gamma), "--alpha-ratio", "0.5",
+                "--output", str(out)]
+        try:
+            params = make_params(cell, alpha_ratio=0.5)
+        except DomainError as exc:  # refused before any profile is drawn
+            assert run(args) == 3
+            assert capsys.readouterr().err == f"error: {exc}\n"
+            return
+        for seed in (0, 3, 77):
+            for count in (1, 2, 30):
+                want = _reference_rows(params, seed, count)
+                flags = ["--seed", str(seed), "--count", str(count)]
+                assert run([*args, *flags, "--format", "json"]) == 0
+                assert json.loads(out.read_text())["rows"] == want
+                assert run([*args, *flags, "--format", "csv"]) == 0
+                lines = out.read_bytes().decode().split("\r\n")
+                start = lines.index(",".join(("index", "grad_rel_err",
+                                              "weight_map_rel_err",
+                                              "identity_residual",
+                                              "roundtrip_rel_err"))) + 1
+                assert lines[start:] == [",".join(map(str, row))
+                                         for row in want] + [""]
+
+    @pytest.mark.parametrize("seed", [0, 3, 77])
+    def test_random_profile_is_batch_of_one(self, seed):
+        one, batch, ref = (np.random.default_rng(seed) for _ in range(3))
+        p = random_profile(one)
+        t, u = random_nodes(batch, 1)
+        want = _reference_random_profile(ref)
+        assert t.shape == u.shape == (1, 10)
+        assert np.array_equal(p.log_radii, t[0])
+        assert np.array_equal(p.values, u[0])
+        assert np.array_equal(p.log_radii, want.log_radii)
+        assert np.array_equal(p.values, want.values)
+        # the stream goes on from the same place
+        assert one.random() == batch.random() == ref.random()
+
+    @pytest.mark.parametrize("n_nodes", [2, 5, 10, 17])
+    def test_random_nodes_rows_are_successive_profiles(self, n_nodes):
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        t, u = random_nodes(rng, 40, n_nodes=n_nodes, vmax=1.5)
+        for row_t, row_u in zip(t, u):
+            want = _reference_random_profile(ref, n_nodes=n_nodes, vmax=1.5)
+            assert np.array_equal(row_t, want.log_radii)
+            assert np.array_equal(row_u, want.values)
+        assert rng.random() == ref.random()
+
+    def test_node_maps_are_profile_maps_row_by_row(self, cell):
+        spec = spec_for(cell)
+        t, u = random_nodes(np.random.default_rng(41), 12)
+        t_v, u_v = push_nodes(t, u, spec)
+        t_b, u_b = pull_nodes(t_v, u_v, spec)
+        for i in range(t.shape[0]):
+            v = push_profile(RadialProfile(log_radii=t[i], values=u[i]), spec)
+            assert np.array_equal(v.log_radii, t_v[i])
+            assert np.array_equal(v.values, u_v[i])
+            back = pull_profile(v, spec)
+            assert np.array_equal(back.log_radii, t_b[i])
+            assert np.array_equal(back.values, u_b[i])
