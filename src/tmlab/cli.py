@@ -143,8 +143,7 @@ def _params_from(cfg: dict) -> ProblemParams:
 
 
 def _optimizer_config(cfg: dict) -> OptimizerConfig:
-    return OptimizerConfig.from_dict({"seed": cfg["seed"],
-                                      **cfg.get("optimizer", {})})
+    return OptimizerConfig.from_dict(cfg.get("optimizer", {}), seed=cfg["seed"])
 
 
 def _echo(cfg: dict) -> dict:

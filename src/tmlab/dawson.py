@@ -49,6 +49,7 @@ import math
 import numpy as np
 
 from ._dawson_table import COEFFICIENTS, H, Y_BIG
+from .errors import DomainError
 
 _TABLE = np.array(COEFFICIENTS).transpose(2, 0, 1)  # (power, interval, f)
 # the asymptotic series take over at v = 1/(2 y^2) <= _V_BIG, where
@@ -144,7 +145,8 @@ def segment_functional(t0, t1, u0, u1, alpha, c, gradient=False):
     (left, right), the integrals of 2 alpha u e^(alpha u^2 + c t) times the
     hat weights 1 - w and w, in units of e^shift.  shift is the larger end
     value of the exponent, which is convex in t.  Each segment's results are
-    the same bit for bit among any others.
+    the same bit for bit among any others.  Raises DomainError where the
+    exponent's slope or curvature over a segment is not finite.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _segments(t0, t1, u0, u1, alpha, c, gradient)
@@ -161,6 +163,11 @@ def _segments(t0, t1, u0, u1, alpha, c, gradient):
     beta = 2.0 * du * au
     lam = beta + z  # E'(w) at the ends
     cq = alpha * du * du
+    if not (np.isfinite(lam).all() and np.isfinite(cq).all()):
+        raise DomainError(
+            "alpha u^2 changes too fast along the profile for the N = 2 "
+            "functional: the slope or curvature of its exponent over a segment "
+            f"is not finite (u up to {u.max():.3g})")
     shift = np.maximum(x[0] + ct[0], x[1] + ct[1])
     f = np.exp(ct - shift)
     e = np.exp(x + ct - shift)

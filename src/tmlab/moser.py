@@ -268,6 +268,8 @@ def asymptotic_lower_scan(params: ProblemParams, alpha_grid) -> ScanTable:
             "product: ratio * (1 - (alpha/crit)^(N-1))^((N-beta)/(N-gamma))",
             "flags: below-window when n < max(half-exp, weight-decay thresholds)",
         ])
+    # the weight-decay threshold reads N, beta and gamma only, not alpha
+    decay = weight_decay_threshold(params)
     for alpha in sorted(alpha_grid):
         if not alpha < crit:
             raise DomainError(f"grid alpha {alpha} is not strictly below critical {crit}")
@@ -278,8 +280,7 @@ def asymptotic_lower_scan(params: ProblemParams, alpha_grid) -> ScanTable:
         ratio_val = LogValue(log_ratio).value
         product = LogValue(
             log_ratio + theta * math.log1p(-(alpha / crit) ** (nd - 1))).value
-        window_lo = max(half_exponential_threshold(point),
-                        weight_decay_threshold(point))
+        window_lo = max(half_exponential_threshold(point), decay)
         flags = "" if n >= window_lo else "below-window"
         table.append(float(alpha), n, ratio_val, product, flags)
     return table

@@ -14,9 +14,11 @@ onto the unit weight sphere (the rescaling-equivalence identity).
 
 On these fixed-coordinate objectives a box-projected L-BFGS ascent with an
 Armijo backtracking line search is valid and fast; the grid's zero lower
-bound is the only constraint left.  Mode B additionally interleaves rounds
-with a polish along the dilation family, the direction a fixed value grid
-cannot represent: Brent's bounded search on J.  Multistarts (concentrating
+bound is the only constraint left.  One leg (_leg) serves both modes: each
+round ascends R and rescales the result by s onto the mode's sphere.  Mode
+A runs one round; mode B runs up to polish_rounds, with a polish along the
+dilation family between them, the direction a fixed value grid cannot
+represent: Brent's bounded search on J.  Multistarts (concentrating
 elements, a broad bump, seeded noise) are merged by best value.  Everything
 is deterministic under a fixed config and seed.
 
@@ -37,7 +39,8 @@ tests use them as references and perfbench/tracing.py looks them up by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -73,8 +76,10 @@ def _is_int(value) -> bool:
 class OptimizerConfig:
     """Grid, step rule, stopping rule, and multistart policy.
 
-    quad_tol is checked and changes nothing (J and the norms are closed
-    forms or one fixed pass); perfbench/tracing.py's micro() reads it.
+    seed draws the random starts; a config document does not set it (see
+    from_dict).  quad_tol is a constant, not a field: J and the norms are
+    closed forms or one fixed pass, so no tolerance applies, and
+    perfbench/tracing.py's micro() reads it.
     """
 
     node_count: int = 129
@@ -84,7 +89,7 @@ class OptimizerConfig:
     seed: int = 0
     dilation_polish: bool = True
     polish_rounds: int = 3
-    quad_tol: float = 1e-10
+    quad_tol: ClassVar[float] = 1e-10
 
     def __post_init__(self):
         # the types first, as the range checks below compare: a JSON config
@@ -94,16 +99,14 @@ class OptimizerConfig:
         kinds += [
             ("moser_starts", lambda v: isinstance(v, tuple)
              and all(map(_is_int, v)), "a list of integers"),
-            ("dilation_polish", lambda v: isinstance(v, bool), "true or false"),
-            ("quad_tol", lambda v: _is_int(v) or isinstance(v, float),
-             "a number")]
+            ("dilation_polish", lambda v: isinstance(v, bool), "true or false")]
         for name, ok, kind in kinds:
             if not ok(getattr(self, name)):
                 raise ValidationError(
                     f"{name} must be {kind}, got {getattr(self, name)!r}")
         if self.node_count < 8:
             raise ValidationError("need at least 8 grid nodes")
-        for name in ("max_iters", "polish_rounds", "quad_tol"):
+        for name in ("max_iters", "polish_rounds"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive")
         if self.random_starts < 0:
@@ -112,14 +115,16 @@ class OptimizerConfig:
             raise ValidationError("seed must be >= 0")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "OptimizerConfig":
-        allowed = set(cls.__dataclass_fields__)
+    def from_dict(cls, data: dict, seed: int = 0) -> "OptimizerConfig":
+        """The config of a JSON object, with the given seed: the CLI passes
+        its top-level seed key, and the object may not set its own."""
+        allowed = {f.name for f in fields(cls)} - {"seed"}
         unknown = set(data) - allowed
         if unknown:
             raise ValidationError(f"unknown optimizer config keys: {sorted(unknown)}")
         if isinstance(data.get("moser_starts"), list):  # JSON has no tuple
             data = dict(data, moser_starts=tuple(data["moser_starts"]))
-        return cls(**data)
+        return cls(seed=seed, **data)
 
 
 @dataclass
@@ -291,8 +296,9 @@ def _drive(legs, params):
     return results
 
 
-def _lbfgs_steps(request, values, config):
-    """Box-projected L-BFGS ascent of objective(u) over u >= 0, last node pinned.
+def _lbfgs_steps(request, values, max_iters):
+    """Box-projected L-BFGS ascent of objective(u) over u >= 0, last node pinned,
+    for at most max_iters iterations.
 
     A generator: each evaluation yields request(u) and is sent back
     objective(u) = (value, gradient); it returns (u, value, trace, converged).
@@ -308,7 +314,7 @@ def _lbfgs_steps(request, values, config):
     pairs = []
     converged = False
 
-    for _ in range(config.max_iters):
+    for _ in range(max_iters):
         # ascent gradient respecting the active bound u = 0
         g_free = np.where((u > 0.0) | (grad > 0.0), grad, 0.0)
         g_free[-1] = 0.0
@@ -359,7 +365,7 @@ def _lbfgs_steps(request, values, config):
 
 def _lbfgs_ascend(objective, values, config):
     """_lbfgs_steps with objective(u) answering each request for u."""
-    steps = _lbfgs_steps(lambda u: u, values, config)
+    steps = _lbfgs_steps(lambda u: u, values, config.max_iters)
     u = next(steps)
     try:
         while True:
@@ -449,59 +455,49 @@ def _dilation_polish(profile, params, value):
 
 
 def _leg(start_id, profile, params, config, mode):
-    """One multistart leg: L-BFGS rounds plus dilation polish (mode B).
-
-    A generator of evaluation requests (see _drive); returns the leg's
-    MaximizationResult.
+    """One multistart leg: rounds of L-BFGS, each rescaled by (g + kappa
+    w)^(-1/N), with the dilation polish between them in mode B; mode A's
+    result is then dilated onto the unit weight sphere.  A generator of
+    evaluation requests (see _drive); returns the leg's MaximizationResult.
     """
     n = params.dim
+    objective = _objective_b if mode == "B" else _objective_a
+    polish = mode == "B" and config.dilation_polish
     trace = []
-    converged = False
+    working = profile
+    for r in range(config.polish_rounds if polish else 1):
+        radii = working.radii
+        values, value, leg, converged = yield from _lbfgs_steps(
+            lambda u: (objective, u, radii), working.values,
+            max(config.max_iters // 3, 10) if r else config.max_iters)
+        trace.extend(leg if not trace else leg[1:])
+        working = RadialProfile.from_radii(radii, values)
+        full = (norms(working, params).full_pow if mode == "B"
+                else grad_norm_pow(working, params))
+        working = working.scaled(full ** (-1.0 / n))
+        if not polish:
+            break
+        polished, new_value = yield from _polish_steps(working, params, value)
+        polish_gained = polished is not working
+        if polish_gained:
+            trace.append(new_value)
+        working, value = polished, new_value
+        if converged and not polish_gained:
+            break
 
     if mode == "A":
-        radii = profile.radii
-        values, value, trace, converged = yield from _lbfgs_steps(
-            lambda u: (_objective_a, u, radii), profile.values, config)
-        best = RadialProfile.from_radii(radii, values)
-        g_pow = grad_norm_pow(best, params)
-        best = at_normalize(best.scaled(g_pow ** (-1.0 / n)), params)
-        rep = norms(best, params)
-        residuals = {"grad_norm": abs(rep.grad_pow - 1.0),
-                     "weight_norm": abs(rep.weight_pow - 1.0)}
-    else:
-        rounds = config.polish_rounds if config.dilation_polish else 1
-        working = profile
-        value = None
-        for r in range(rounds):
-            radii = working.radii
-            leg_config = config if r == 0 \
-                else replace(config, max_iters=max(config.max_iters // 3, 10))
-            values, value, leg, converged = yield from _lbfgs_steps(
-                lambda u: (_objective_b, u, radii), working.values, leg_config)
-            trace.extend(leg if not trace else leg[1:])
-            working = RadialProfile.from_radii(radii, values)
-            rep = norms(working, params)
-            working = working.scaled(rep.full_pow ** (-1.0 / n))
-            if not config.dilation_polish:
-                break
-            polished, new_value = yield from _polish_steps(working, params, value)
-            polish_gained = polished is not working
-            if polish_gained:
-                trace.append(new_value)
-            working, value = polished, new_value
-            if converged and not polish_gained:
-                break
-        best = working
-        rep = norms(best, params)
-        residuals = {"full_norm": abs(rep.full_pow - 1.0)}
-
+        working = at_normalize(working, params)
+    rep = norms(working, params)
+    residuals = ({"full_norm": abs(rep.full_pow - 1.0)} if mode == "B" else
+                 {"grad_norm": abs(rep.grad_pow - 1.0),
+                  "weight_norm": abs(rep.weight_pow - 1.0)})
     diagnostics = {
-        "half_mass_radius": _half_mass_radius(best, params),
-        "support_radius": float(best.radii[-1]),
-        "last_interior_value": float(best.values[-2]),
+        "half_mass_radius": _half_mass_radius(working, params),
+        "support_radius": float(working.radii[-1]),
+        "last_interior_value": float(working.values[-2]),
         "iterations": float(len(trace) - 1),
     }
-    return MaximizationResult(profile=best, value=value,
+    return MaximizationResult(profile=working, value=value,
                               constraint_residuals=residuals, trace=trace,
                               start_id=start_id, converged=converged,
                               diagnostics=diagnostics)

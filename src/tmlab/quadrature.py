@@ -52,6 +52,7 @@ import warnings
 import numpy as np
 
 from .core import log_phi
+from .errors import DomainError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(14)
 # the largest change of alpha u^q and of c t over one piece
@@ -63,6 +64,9 @@ _GRADE_LEVELS = 4
 # extra fall the windows are laid out for, above E's rounding
 _DROP = 80.0
 _SLACK = 8.0
+# the most pieces one call lays out, checked before any piece array is
+# built: at this many, a call with the gradient peaks near 250 MB
+_MAX_PIECES = 1 << 17
 # stands in for u = 0 in the row factor x/u, which is 0 there
 _TINY = 1e-300
 
@@ -77,7 +81,9 @@ def segment_functional(t0, t1, u0, u1, dim, alpha, c, gradient=False):
     u^q) u^(q-1) e^(c t) times the hat weights 1 - w and w, in units of
     e^shift.  shift is the larger end value of alpha u^q + c t, which is
     convex in t.  Each segment's results are the same bit for bit among any
-    others.
+    others.  Raises DomainError, before any piece array is built, where the
+    layout would take more than _MAX_PIECES pieces: where alpha u^q is huge
+    and falls steeply (a segment falling to u = 0 keeps no window).
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _segments(t0, t1, u0, u1, dim, alpha, c, gradient)
@@ -149,17 +155,24 @@ def _pieces(t0, t1, u0, u1, n, alpha, c):
         i, windows = _windows(long, t0, t1, u_hi, u_lo, x_hi, rate, steep,
                               high_back, count, n, alpha, c)
         n_a[i], n_b[i], w_a[i], w_b[i] = windows
-    n_a, n_b = n_a.astype(int), n_b.astype(int)
-    seg_a, j = _runs(n_a)
-    lo_a = j * w_a[seg_a]
-    seg_b, j = _runs(np.maximum(n_b - 1, 0))
-    lo_b = (j + 1.0) * w_b[seg_b]
     # B's first piece, [0, w_b] from the low end, cut at u_1 g^k, u_1 its
     # inner end, down to the low end or _GRADE_LEVELS cuts
     u_1 = u_lo + rate * w_b
     cuts = np.clip(np.ceil(np.log(u_1 / u_lo) / -math.log(_GRADE)) - 1.0,
-                   0, _GRADE_LEVELS).astype(int)
-    seg_g, k = _runs(np.where(n_b > 0, cuts + 1, 0))
+                   0, _GRADE_LEVELS)
+    graded = np.where(n_b > 0, cuts + 1.0, 0.0)
+    total = n_a.sum() + np.maximum(n_b - 1.0, 0.0).sum() + graded.sum()
+    if not total <= _MAX_PIECES:  # also where a count is inf or NaN
+        raise DomainError(
+            "alpha u^q changes too fast along the profile for the N >= 3 "
+            f"functional: its segments would take {total:.3g} integration "
+            f"pieces, more than the {_MAX_PIECES} one call lays out (u up to "
+            f"{u_hi.max():.3g})")
+    seg_a, j = _runs(n_a.astype(int))
+    lo_a = j * w_a[seg_a]
+    seg_b, j = _runs(np.maximum(n_b - 1.0, 0.0).astype(int))
+    lo_b = (j + 1.0) * w_b[seg_b]
+    seg_g, k = _runs(graded.astype(int))
     u_k = u_1[seg_g] * _GRADE ** k
     hi_g = np.where(k == 0, w_b[seg_g], (u_k - u_lo[seg_g]) / rate[seg_g])
     lo_g = np.where(k == cuts[seg_g], 0.0,

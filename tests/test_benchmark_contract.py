@@ -15,7 +15,20 @@ import pytest
 
 import tmlab.cli  # imports every module that TARGETS names
 
-_TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+_ROOT = pathlib.Path(__file__).resolve().parents[1]
+_TRACING = _ROOT / "perfbench" / "tracing.py"
+_DIGEST = _ROOT / "tools" / "output_digest.py"
+
+# the traced functions that no operation of either workload calls: each
+# reads 0 on its calls and self_s metrics whatever the code costs
+UNCALLED = {
+    "core.phi_derivative",
+    "optimizer._dilation_polish", "optimizer._lbfgs_ascend",
+    "profiles.functional_gradient", "profiles.norms_gradient",
+    "quadrature.integrate_segments",
+    "transform.pull_profile", "transform.push_profile",
+    "transform.verify_integral_identity",
+}
 
 
 def _tmlab_bindings():
@@ -25,9 +38,8 @@ def _tmlab_bindings():
             for attr, val in vars(mod).items()}
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     write_bytecode = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # leave no cache files beside the script
@@ -36,6 +48,11 @@ def tracing():
     finally:
         sys.dont_write_bytecode = write_bytecode
     return module
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("perfbench_tracing", _TRACING)
 
 
 def test_every_target_resolves(tracing):
@@ -86,3 +103,27 @@ def test_micro_runs(tracing):
     assert all(math.isfinite(v) and (v > 0.0 or (k in split and v == 0.0))
                for k, v in out.items())
     assert _tmlab_bindings() == before
+
+
+def test_uncalled_targets(tracing, tmp_path):
+    # every distinct operation of both workloads once, traced; a change that
+    # stops (or starts) calling a traced function shows here first, since
+    # its per-layer metrics then read 0 (or stop reading 0)
+    digest = _load("output_digest", _DIGEST)
+    workloads = digest.load_workloads()
+    ops = digest.distinct(workloads.build("optimize", str(tmp_path))
+                          + workloads.build("family", str(tmp_path)))
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        # looked up at call time, so the traced cli.run is the one called
+        records = [digest.run_op(lambda argv: tmlab.cli.run(argv), op, 3,
+                                 str(tmp_path)) for op in ops]
+    finally:
+        uninstall()
+    assert len(ops) == 216
+    assert [r["exit"] for r in records] == [0] * len(ops)
+    metrics = tracer.metrics()
+    assert metrics["cli.run.calls"] == len(ops)
+    assert {name for name in tracing.function_names()
+            if metrics[f"{name}.calls"] == 0} == UNCALLED

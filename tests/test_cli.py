@@ -92,6 +92,25 @@ class TestEval:
                 assert rc == 2, (command, text)
                 assert "malformed profile" in capsys.readouterr().err
 
+    # alpha u^q past what the functional can lay out ended in a traceback:
+    # an IndexError at N = 2, a ValueError from the piece counts at N >= 3
+    @pytest.mark.parametrize("dim, radii, values", [
+        (2, [1.0, 2.0], [1e154, 0.0]), (3, [1.0, 2.0], [1e20, 0.0]),
+        (4, [1.0, 2.0], [1e20, 0.0]), (3, [1.0, 2.0, 3.0], [1e30, 1e30, 0.0]),
+        (4, [1.0, 2.0, 3.0], [1e30, 1e30, 0.0])], ids=str)
+    def test_unlayable_profile_exit_3(self, dim, radii, values, tmp_path,
+                                      capsys):
+        pfile = tmp_path / "p.json"
+        pfile.write_text(json.dumps({"radii": radii, "values": values}))
+        cell = (["--alpha", "1.0", "--beta", "0", "--gamma", "0"] if dim == 2
+                else ["--alpha-ratio", "0.5", "--beta", "0.5", "--gamma", "0.5"])
+        rc, out = invoke(tmp_path, "eval", "--dim", str(dim), *cell,
+                         "--profile", str(pfile))
+        assert rc == 3 and not out.exists()
+        q = "2" if dim == 2 else "q"
+        assert capsys.readouterr().err.startswith(
+            f"error: alpha u^{q} changes too fast along the profile")
+
     def test_infeasible_params_exit_3(self, tmp_path):
         pfile = tmp_path / "zero.json"
         pfile.write_text(json.dumps(RadialProfile.from_radii([1.0], [0.0]).to_dict()))
@@ -305,12 +324,13 @@ class TestConfigHandling:
         assert run(["transform-check", *cell, "--count", "2"]) == 2
         assert run(["optimize", "--mode", "A", *cell]) == 2
         assert capsys.readouterr().err.count("seed must be an integer >= 0") == 2
-        # the optimizer's own seed key is checked too
+        # the optimizer object has no seed key: the top-level one sets it
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({"optimizer": {"seed": -1}}))
         assert run(["optimize", "--mode", "A", "--config", str(cfgfile),
                     *cell[:-2]]) == 3
-        assert "seed must be >= 0" in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            "error: unknown optimizer config keys: ['seed']\n"
 
     def test_empty_alpha_grid_exit_2(self, tmp_path, capsys):
         cell = ["--dim", "2", "--alpha-ratio", "0.5", "--beta", "0",
@@ -553,7 +573,23 @@ class TestWrongTypedConfig:
             {**self.CELL, "mode": "A", "optimizer": optimizer}))
         assert run(["optimize", "--config", str(cfgfile)]) == code
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {key} must be "), err
+        # quad_tol is no key now, whatever its value
+        assert err.startswith(
+            f"error: unknown optimizer config keys: ['{key}']"
+            if key == "quad_tol" else f"error: {key} must be "), err
+
+    # quad_tol changed nothing, and seed duplicated the top-level key
+    @pytest.mark.parametrize("key, value", [("quad_tol", 1e-10), ("seed", 5)])
+    def test_refused_optimizer_key(self, key, value, tmp_path, capsys):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(
+            {**self.CELL, "mode": "A", "optimizer": {key: value}}))
+        out = tmp_path / "out"
+        assert run(["optimize", "--config", str(cfgfile), "--output",
+                    str(out)]) == 3
+        assert capsys.readouterr().err == \
+            f"error: unknown optimizer config keys: ['{key}']\n"
+        assert not out.exists()
 
     # an int output was taken as a file descriptor, written to and closed,
     # with exit 0, and an int profile was read from one and closed; a list

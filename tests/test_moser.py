@@ -194,6 +194,21 @@ class TestAsymptoticScan:
         with pytest.raises(DomainError):
             asymptotic_lower_scan(params, [crit])
 
+    def test_threshold_once_per_scan(self, monkeypatch):
+        # the weight-decay threshold does not depend on alpha: one search
+        # per scan, not one per grid point
+        from tmlab import moser
+
+        params = make_params((3, 1.0, 0.5))
+        crit = critical_alpha_beta(params)
+        inner, calls = moser.weight_decay_threshold, []
+        monkeypatch.setattr(moser, "weight_decay_threshold",
+                            lambda p: calls.append(p) or inner(p))
+        table = asymptotic_lower_scan(
+            params, [r * crit for r in (0.3, 0.6, 0.9, 0.99)])
+        assert len(calls) == 1
+        assert set(table.column("flags")) == {"", "below-window"}
+
     def test_csv_emission(self):
         params = make_params((2, 1.0, 0.5))
         crit = critical_alpha_beta(params)

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -525,6 +526,106 @@ class TestNodeArrayBatches:
                    optimizer._functional_values):
             with pytest.raises(ValidationError):
                 fn(bad["values"], bad["radii"], params)
+
+
+def _reference_leg(start_id, profile, params, config, mode):
+    """optimizer._leg as it was before one loop served both modes: a branch
+    per mode, and each later round's step count passed in a derived config."""
+    from tmlab import optimizer
+
+    n = params.dim
+    trace = []
+    converged = False
+
+    if mode == "A":
+        radii = profile.radii
+        values, value, trace, converged = yield from optimizer._lbfgs_steps(
+            lambda u: (optimizer._objective_a, u, radii), profile.values,
+            config.max_iters)
+        best = RadialProfile.from_radii(radii, values)
+        g_pow = grad_norm_pow(best, params)
+        best = at_normalize(best.scaled(g_pow ** (-1.0 / n)), params)
+        rep = norms(best, params)
+        residuals = {"grad_norm": abs(rep.grad_pow - 1.0),
+                     "weight_norm": abs(rep.weight_pow - 1.0)}
+    else:
+        rounds = config.polish_rounds if config.dilation_polish else 1
+        working = profile
+        value = None
+        for r in range(rounds):
+            radii = working.radii
+            leg_config = config if r == 0 \
+                else replace(config, max_iters=max(config.max_iters // 3, 10))
+            values, value, leg, converged = yield from optimizer._lbfgs_steps(
+                lambda u: (optimizer._objective_b, u, radii), working.values,
+                leg_config.max_iters)
+            trace.extend(leg if not trace else leg[1:])
+            working = RadialProfile.from_radii(radii, values)
+            rep = norms(working, params)
+            working = working.scaled(rep.full_pow ** (-1.0 / n))
+            if not config.dilation_polish:
+                break
+            polished, new_value = yield from optimizer._polish_steps(
+                working, params, value)
+            polish_gained = polished is not working
+            if polish_gained:
+                trace.append(new_value)
+            working, value = polished, new_value
+            if converged and not polish_gained:
+                break
+        best = working
+        rep = norms(best, params)
+        residuals = {"full_norm": abs(rep.full_pow - 1.0)}
+
+    diagnostics = {
+        "half_mass_radius": optimizer._half_mass_radius(best, params),
+        "support_radius": float(best.radii[-1]),
+        "last_interior_value": float(best.values[-2]),
+        "iterations": float(len(trace) - 1),
+    }
+    return optimizer.MaximizationResult(
+        profile=best, value=value, constraint_residuals=residuals, trace=trace,
+        start_id=start_id, converged=converged, diagnostics=diagnostics)
+
+
+def _bits(result):
+    """Every field of a MaximizationResult, floats by repr and arrays by bytes."""
+    return (repr(result.value), [repr(v) for v in result.trace],
+            result.converged, result.start_id,
+            result.profile.log_radii.tobytes(), result.profile.values.tobytes(),
+            {k: repr(v) for k, v in result.constraint_residuals.items()},
+            {k: repr(v) for k, v in result.diagnostics.items()})
+
+
+class TestOneLeg:
+    """The one leg of both modes has the bits of the per-mode leg it replaced."""
+
+    BASE = OptimizerConfig(node_count=33, moser_starts=(2, 6), random_starts=1,
+                           max_iters=12, polish_rounds=3)
+    CONFIGS = {"rounds-3": BASE,
+               "rounds-1": replace(BASE, polish_rounds=1),
+               "no-polish": replace(BASE, dilation_polish=False)}
+
+    @pytest.mark.parametrize("mode, config", [
+        ("A", "rounds-3"), ("B", "rounds-3"), ("B", "rounds-1"),
+        ("B", "no-polish")])
+    def test_matches_reference_leg(self, cell, mode, config):
+        from tmlab import optimizer
+
+        params = make_params(cell, alpha_ratio=0.5 if mode == "A" else 1.0)
+        cfg = self.CONFIGS[config]
+        starts = starting_profiles(params, cfg)
+        got = optimizer._drive([optimizer._leg(sid, prof, params, cfg, mode)
+                                for sid, prof in starts], params)
+        want = optimizer._drive([_reference_leg(sid, prof, params, cfg, mode)
+                                 for sid, prof in starts], params)
+        assert len(got) == len(starts) == 4
+        for (sid, _), g, w in zip(starts, got, want):
+            assert _bits(g) == _bits(w), sid
+        if mode == "B" and config == "rounds-3":
+            # a trace longer than one round and one polish gain: some leg
+            # ran a later round
+            assert any(len(r.trace) > cfg.max_iters + 2 for r in got)
 
 
 class TestResultSerialization:

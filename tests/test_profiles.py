@@ -601,6 +601,37 @@ class TestBatch:
         assert weighted_lp_pow_batch(table, 2, 0.5, params) == \
             weighted_lp_pow_batch(rows, 2, 0.5, params)
 
+    # alpha u^q past what the functional can lay out.  At N = 2 Dawson's end
+    # slope overflows (an IndexError in dawson._reduced before); at N >= 3 a
+    # segment falling to u = 0 keeps no window and is cut whole, into 1e30
+    # pieces at u = 1e20 (negative counts before) and 5.3e7 at u = 1e5, each
+    # piece array of which would hold about 6 GB
+    UNLAYABLE = [((2, 0.0, 0.0), [1.0, 2.0], [1e154, 0.0]),
+                 ((3, 0.5, 0.5), [1.0, 2.0], [1e20, 0.0]),
+                 ((4, 0.5, 0.5), [1.0, 2.0], [1e20, 0.0]),
+                 ((3, 0.5, 0.5), [1.0, 2.0, 3.0], [1e30, 1e30, 0.0]),
+                 ((4, 0.5, 0.5), [1.0, 2.0, 3.0], [1e30, 1e30, 0.0]),
+                 ((3, 0.5, 0.5), [1.0, 2.0], [1e5, 0.0])]
+
+    @pytest.mark.parametrize("cell, radii, values", UNLAYABLE, ids=str)
+    def test_refuses_what_it_cannot_lay_out(self, cell, radii, values,
+                                            monkeypatch):
+        # refused alone and among laid-out profiles, with or without the
+        # gradient, before any piece array is built
+        def no_pieces(counts):
+            raise AssertionError("a piece array was built")
+
+        monkeypatch.setattr(quadrature, "_runs", no_pieces)
+        params = (ProblemParams(2, 1.0, 0.0, 0.0) if cell[0] == 2
+                  else make_params(cell, alpha_ratio=0.5))
+        bad = RadialProfile.from_radii(radii, values)
+        q = "2" if cell[0] == 2 else "q"
+        for batch in ([bad], [random_profile(np.random.default_rng(5)), bad]):
+            for gradient in (False, True):
+                with pytest.raises(DomainError,
+                                   match=f"^alpha u\\^{q} changes too fast"):
+                    functional_log_batch(batch, params, gradient=gradient)
+
     def test_empty_batch(self):
         params = make_params((2, 0.0, 0.0))
         assert weighted_lp_pow_batch([], 2.0, 0.0, params) == []
