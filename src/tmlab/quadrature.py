@@ -64,8 +64,8 @@ _GRADE_LEVELS = 4
 # extra fall the windows are laid out for, above E's rounding
 _DROP = 80.0
 _SLACK = 8.0
-# the most pieces one call lays out, checked before any piece array is
-# built: at this many, a call with the gradient peaks near 250 MB
+# the most pieces one segment is cut into, checked before any piece array
+# is built: a one-segment call this large with the gradient peaks near 250 MB
 _MAX_PIECES = 1 << 17
 # stands in for u = 0 in the row factor x/u, which is 0 there
 _TINY = 1e-300
@@ -81,9 +81,10 @@ def segment_functional(t0, t1, u0, u1, dim, alpha, c, gradient=False):
     u^q) u^(q-1) e^(c t) times the hat weights 1 - w and w, in units of
     e^shift.  shift is the larger end value of alpha u^q + c t, which is
     convex in t.  Each segment's results are the same bit for bit among any
-    others.  Raises DomainError, before any piece array is built, where the
-    layout would take more than _MAX_PIECES pieces: where alpha u^q is huge
-    and falls steeply (a segment falling to u = 0 keeps no window).
+    others.  Raises DomainError, before any piece array is built, where a
+    segment would be cut into more than _MAX_PIECES pieces: where alpha u^q
+    is huge and falls steeply (a segment falling to u = 0 keeps no window).
+    The check reads each segment alone, so it too is the same in any batch.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         return _segments(t0, t1, u0, u1, dim, alpha, c, gradient)
@@ -161,13 +162,15 @@ def _pieces(t0, t1, u0, u1, n, alpha, c):
     cuts = np.clip(np.ceil(np.log(u_1 / u_lo) / -math.log(_GRADE)) - 1.0,
                    0, _GRADE_LEVELS)
     graded = np.where(n_b > 0, cuts + 1.0, 0.0)
-    total = n_a.sum() + np.maximum(n_b - 1.0, 0.0).sum() + graded.sum()
-    if not total <= _MAX_PIECES:  # also where a count is inf or NaN
+    per = n_a + np.maximum(n_b - 1.0, 0.0) + graded
+    bad = np.flatnonzero(~(per <= _MAX_PIECES))  # also inf or NaN counts
+    if bad.size:
+        worst = bad[0]
         raise DomainError(
             "alpha u^q changes too fast along the profile for the N >= 3 "
-            f"functional: its segments would take {total:.3g} integration "
-            f"pieces, more than the {_MAX_PIECES} one call lays out (u up to "
-            f"{u_hi.max():.3g})")
+            f"functional: a segment would take {per[worst]:.3g} integration "
+            f"pieces, more than the {_MAX_PIECES} one segment is cut into "
+            f"(u up to {u_hi[worst]:.3g})")
     seg_a, j = _runs(n_a.astype(int))
     lo_a = j * w_a[seg_a]
     seg_b, j = _runs(np.maximum(n_b - 1.0, 0.0).astype(int))

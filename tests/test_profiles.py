@@ -632,6 +632,22 @@ class TestBatch:
                                    match=f"^alpha u\\^{q} changes too fast"):
                     functional_log_batch(batch, params, gradient=gradient)
 
+    def test_large_batch_is_laid_out(self):
+        # the piece budget holds per segment: a batch of ordinary N = 3
+        # profiles past _MAX_PIECES pieces in all is computed, and each
+        # profile's J equals its J alone
+        params = make_params((3, 1.0, 0.5), alpha_ratio=0.9)
+        t, u = profiles.random_nodes(np.random.default_rng(11), 4700)
+        rows = [RadialProfile(log_radii=a, values=b) for a, b in zip(t, u)]
+        live = profiles.LiveSegments.of(rows)
+        with np.errstate(all="ignore"):
+            seg = quadrature._pieces(live.t0, live.t1, live.u0, live.u1, 3,
+                                     params.alpha, 2.0)[0]
+        assert seg.size > quadrature._MAX_PIECES
+        batch = functional_log_batch(rows, params)
+        for p, got in zip(rows, batch):
+            assert got == functional_log_batch([p], params)[0]
+
     def test_empty_batch(self):
         params = make_params((2, 0.0, 0.0))
         assert weighted_lp_pow_batch([], 2.0, 0.0, params) == []
